@@ -27,29 +27,21 @@ using geom::Polygon;
 using geom::Rect;
 using geom::Transform;
 using layout::Cell;
-using layout::CellRef;
 using layout::Library;
 
 namespace {
 
-/// Static-analysis gate run before any correction: library structure and
-/// geometry plus the model-parameter bands. Error findings abort; the
-/// message carries the offending codes and the first few findings so the
-/// failure is actionable without re-running `opckit lint`.
-void preflight_gate(const Library& lib, const FlowSpec& spec) {
-  lint::LintOptions options;
-  options.grid_nm = spec.opc.grid_nm;
-  lint::LintReport report = lint::lint_library(lib, options);
-  report.merge(lint::lint_sim_spec(spec.sim, options));
-  report.merge(lint::lint_opc_spec(spec.opc, options));
-  if (report.clean()) return;
-
+/// Message of a failed lint-shaped gate: the error count, the distinct
+/// error codes, and the first few error findings, so the failure is
+/// actionable without re-running `opckit lint`.
+std::string gate_message(std::string_view gate,
+                         const lint::LintReport& report) {
   std::set<std::string> error_codes;
   for (const lint::Diagnostic& d : report.findings()) {
     if (d.severity == lint::Severity::kError) error_codes.insert(d.code);
   }
   std::ostringstream os;
-  os << "pre-flight lint found " << report.errors() << " error(s) [";
+  os << gate << " found " << report.errors() << " error(s) [";
   bool first = true;
   for (const std::string& code : error_codes) {
     os << (first ? "" : " ") << code;
@@ -62,7 +54,19 @@ void preflight_gate(const Library& lib, const FlowSpec& spec) {
     os << (shown == 0 ? " " : "; ") << d.to_line();
     if (++shown == 3) break;
   }
-  throw util::InputError(os.str());
+  return os.str();
+}
+
+/// Static-analysis gate run before any correction: library structure and
+/// geometry plus the model-parameter bands. Error findings abort.
+void preflight_gate(const Library& lib, const FlowSpec& spec) {
+  lint::LintOptions options;
+  options.grid_nm = spec.opc.grid_nm;
+  lint::LintReport report = lint::lint_library(lib, options);
+  report.merge(lint::lint_sim_spec(spec.sim, options));
+  report.merge(lint::lint_opc_spec(spec.opc, options));
+  if (report.clean()) return;
+  throw util::InputError(gate_message("pre-flight lint", report));
 }
 
 /// Runs the parallel phases under FlowSpec::jobs: 1 = inline in the
@@ -96,9 +100,31 @@ class TileExecutor {
   std::unique_ptr<util::ThreadPool> owned_;
 };
 
-/// Per-tile phase state: the simulation input assembled by the gather
-/// phase, the cache decision from the resolve phase, and the solver
-/// output from the solve phase.
+/// One work unit of the driver — a distinct cell (cell flow) or a
+/// placement (flat flow) — as listed by the flow before the phases run.
+struct Tile {
+  std::vector<Polygon> drawn;  ///< own input-layer shapes, tile frame
+  Rect window;                 ///< solve window and cache-key frame
+  geom::Region own_region;     ///< area of `drawn`
+  Cell* out = nullptr;         ///< cell whose output layer gets `corrected`
+  /// Latest merged mask of this tile (own shapes only). Starts as the
+  /// drawn geometry, which is the flat flow's pass-0 context.
+  std::vector<Polygon> corrected;
+};
+
+Tile make_tile(std::vector<Polygon> drawn, Rect window, Cell& out) {
+  Tile tile;
+  tile.own_region = geom::Region::from_polygons(drawn);
+  tile.corrected = drawn;
+  tile.drawn = std::move(drawn);
+  tile.window = window;
+  tile.out = &out;
+  return tile;
+}
+
+/// Per-tile phase state of one pass: the simulation input assembled by
+/// the gather phase, the cache decision from the resolve phase, and the
+/// solver output from the solve phase.
 struct TileWork {
   std::vector<Polygon> targets;     ///< own shapes + halo context
   CorrectionCache::Key key;         ///< valid when the cache is on
@@ -169,59 +195,101 @@ void solve_tile_engine(const FlowSpec& spec, const litho::SimSpec& sim,
   }
 }
 
-/// The pattern-library side of a flow run: import entries for exact
-/// replay, retrieve near matches for warm starts, and accumulate fresh
-/// solves (with their seeds) back into the library. Used exclusively
-/// from the flow's serial phases, like StoreSession.
-class LibrarySession {
+/// Every reuse path of a flow run around the one correction cache it
+/// owns: in-memory preload and store resume (exact replay of earlier
+/// runs), the pattern library (exact replay, near-match warm starts and
+/// accumulation), the store/record/library sinks fed from the merge
+/// phase, and the fail_after_tiles fault injection (which works with or
+/// without a store — a crash is a crash). Used only from the flow's
+/// serial sections, so the TSan contract of the phases is untouched.
+class ReuseSession {
  public:
-  LibrarySession(const FlowSpec& spec, std::string_view flow_kind,
-                 CorrectionCache& cache, FlowStats& stats)
-      : budget_(spec.library_budget),
-        shared_(spec.library),
-        sink_(spec.library_sink) {
-    if (spec.library_path.empty() && shared_ == nullptr && !sink_) return;
-    if (!spec.cache) {
-      throw util::InputError(
-          "pattern library: FlowSpec::library_path/library/library_sink "
-          "require the correction cache (FlowSpec::cache) — library "
-          "entries are cache entries");
+  ReuseSession(const FlowSpec& spec, std::string_view flow_kind,
+               FlowStats& stats)
+      : spec_(spec), cache_({spec.cache_symmetry}) {
+    const std::pair<bool, const char*> hooks[] = {
+        {spec.preload != nullptr, "preload"},
+        {!spec.store_path.empty(), "store_path"},
+        {static_cast<bool>(spec.record_sink), "record_sink"},
+        {!spec.library_path.empty(), "library_path"},
+        {spec.library != nullptr, "library"},
+        {static_cast<bool>(spec.library_sink), "library_sink"},
+    };
+    for (const auto& [set, name] : hooks) {
+      if (set && !spec.cache) {
+        throw util::InputError(
+            std::string("reuse: FlowSpec::") + name +
+            " requires the correction cache (FlowSpec::cache) — reused "
+            "solves are cache entries");
+      }
     }
+    // In-memory preload (the daemon's shared library) imports first, so
+    // its entries win representative selection over file records — both
+    // replay translation-exactly, so the choice cannot change output.
+    if (spec.preload) {
+      for (const store::TileRecord& rec : *spec.preload) {
+        cache_.import_entry(rec);
+      }
+      stats.store_entries_loaded += spec.preload->size();
+    }
+    if (!spec.store_path.empty()) {
+      const std::uint64_t fp = flow_fingerprint(spec, flow_kind);
+      if (spec.resume && std::filesystem::exists(spec.store_path)) {
+        store::LoadResult loaded = store::ResultStore::load(
+            spec.store_path, fp);  // throws InputError with the STO line
+        for (const store::TileRecord& rec : loaded.records) {
+          cache_.import_entry(rec);
+        }
+        stats.store_entries_loaded += loaded.records.size();
+        stats.store_tail_recovered = loaded.tail_recovered;
+        store_.emplace(store::ResultStore::append_to(
+            spec.store_path, loaded.valid_bytes, spec.store_sync));
+      } else {
+        store_.emplace(
+            store::ResultStore::create(spec.store_path, fp, spec.store_sync));
+      }
+    }
+    // Library imports follow the store/preload entries in every resolve
+    // bucket, so a pattern both hold replays as a store hit.
+    preloaded_ = cache_.size();
     if (!spec.library_path.empty()) {
       lib_.emplace(pat::PatternLibrary::open(
           spec.library_path, flow_fingerprint(spec, flow_kind),
           spec.store_sync));
-      import_lo_ = cache.size();
       for (std::size_t i = 0; i < lib_->size(); ++i) {
-        cache.import_entry(lib_->record(i).tile);
+        cache_.import_entry(lib_->record(i).tile);
       }
-      import_hi_ = cache.size();
       stats.library_entries_loaded += lib_->load_info().records_loaded;
       stats.library_tail_recovered = lib_->load_info().tail_recovered;
       trace::metrics()
           .counter(trace::metric::kPatLibraryRecordsLoaded)
           .add(lib_->load_info().records_loaded);
     }
+    library_end_ = cache_.size();
   }
 
-  /// Serial resolve phase, once per tile after the cache lookup: account
-  /// library replays and attach warm-start seeds to cache misses that
-  /// have a near match under the budget.
-  void on_resolved(TileWork& t, FlowStats& stats) const {
+  /// Serial resolve phase, once per tile in placement order, so the
+  /// choice of representative per pattern class is a pure function of
+  /// the layout: look the tile up, account a library replay, and attach
+  /// warm-start seeds to a miss with a near match under the budget.
+  void resolve(TileWork& t, FlowStats& stats) {
+    if (!spec_.cache) return;
+    t.res = cache_.resolve(t.key);
+    t.replay = t.res.outcome == CacheOutcome::kHit ||
+               t.res.outcome == CacheOutcome::kSymmetryHit;
     if (t.replay) {
-      if (t.res.entry >= import_lo_ && t.res.entry < import_hi_) {
+      if (t.res.entry >= preloaded_ && t.res.entry < library_end_) {
         ++stats.library_exact_hits;
-        trace::metrics()
-            .counter(trace::metric::kPatLibraryExactHits)
-            .add();
+        trace::metrics().counter(trace::metric::kPatLibraryExactHits).add();
       }
       return;
     }
-    if (budget_ <= 0.0) return;
-    const pat::PatternLibrary* src = lib_ ? &*lib_ : shared_;
+    if (spec_.library_budget <= 0.0) return;
+    const pat::PatternLibrary* src = lib_ ? &*lib_ : spec_.library;
     if (src == nullptr || src->size() == 0) return;
     const pat::PatternFeature query = pat::feature_of(t.key.window.rects);
-    const std::optional<pat::NearMatch> near = src->nearest(query, budget_);
+    const std::optional<pat::NearMatch> near =
+        src->nearest(query, spec_.library_budget);
     if (!near) return;
     // The retrieved seeds live in the matched entry's canonical frame;
     // similar patterns canonicalize into nearly aligned frames, so
@@ -239,19 +307,62 @@ class LibrarySession {
     trace::metrics().counter(trace::metric::kPatLibraryNearHits).add();
   }
 
-  /// Serial merge phase, once per freshly solved tile (after
-  /// cache.store()): persist the solve with its warm-start seeds.
-  void on_fresh_solve(const CorrectionCache& cache, const TileWork& t,
-                      FlowStats& stats) {
+  /// The replayed mask of a tile that resolved to a replay.
+  std::vector<Polygon> fetch(const TileWork& t) const {
+    return cache_.fetch(t.res.entry, t.key);
+  }
+
+  /// Serial merge phase, once per merged tile in placement order (a
+  /// replay's representative always merges first, so every store lands
+  /// before the fetch that needs it): cache a fresh solve and persist it
+  /// to the library (model solves only — ILT output carries no fragment
+  /// offsets to seed warm starts from), the store and the sinks; account
+  /// a replay of an earlier run's entry; fire the fault injection.
+  void merge(const TileWork& t, const std::vector<Polygon>& corrected,
+             FlowStats& stats) {
+    if (t.replay) {
+      // Entries below preloaded_ came from the store file or the
+      // in-memory preload — either way, reuse from a previous run.
+      if (t.res.entry < preloaded_) ++stats.store_hits;
+    } else if (spec_.cache) {
+      cache_.store(t.res.entry, t.key, corrected);
+      if (!t.ilt) merge_library(t, stats);
+      if (store_ || spec_.record_sink) {
+        const store::TileRecord rec = cache_.export_entry(t.res.entry);
+        if (store_) {
+          store_->append(rec);
+          ++stats.store_entries_appended;
+        }
+        if (spec_.record_sink) spec_.record_sink(rec);
+      }
+    }
+    ++merged_;
+    if (spec_.fail_after_tiles >= 0 &&
+        merged_ >= static_cast<std::size_t>(spec_.fail_after_tiles)) {
+      throw FlowAborted("flow aborted by FlowSpec::fail_after_tiles after " +
+                        std::to_string(merged_) + " merged tiles");
+    }
+  }
+
+  void finish(FlowStats& stats) const {
+    const CorrectionCacheStats& cs = cache_.stats();
+    stats.cache_hits = cs.hits + cs.symmetry_hits;
+    stats.cache_misses = cs.misses;
+    stats.cache_conflicts = cs.conflicts;
+  }
+
+ private:
+  /// Persist a fresh model solve with its warm-start seeds.
+  void merge_library(const TileWork& t, FlowStats& stats) {
     if (t.warm) {
       stats.library_warm_iterations += t.result.history.size();
       trace::metrics()
           .counter(trace::metric::kPatLibraryWarmIterations)
           .add(t.result.history.size());
     }
-    if (!lib_ && !sink_) return;
+    if (!lib_ && !spec_.library_sink) return;
     pat::LibraryRecord rec;
-    rec.tile = cache.export_entry(t.res.entry);
+    rec.tile = cache_.export_entry(t.res.entry);
     const Transform to_canonical =
         CorrectionCache::canonical_transform(t.key);
     rec.seeds.reserve(t.result.seeds.size());
@@ -264,39 +375,19 @@ class LibrarySession {
           .counter(trace::metric::kPatLibraryRecordsAppended)
           .add();
     }
-    if (sink_) sink_(rec);
+    if (spec_.library_sink) spec_.library_sink(rec);
   }
 
- private:
-  double budget_;
-  const pat::PatternLibrary* shared_;
-  const std::function<void(const pat::LibraryRecord&)>& sink_;
+  const FlowSpec& spec_;
+  CorrectionCache cache_;
+  std::optional<store::ResultStore> store_;
   std::optional<pat::PatternLibrary> lib_;
-  /// Cache entries in [import_lo_, import_hi_) came from the library
-  /// file — replays against them are library_exact_hits.
-  std::size_t import_lo_ = 0;
-  std::size_t import_hi_ = 0;
+  /// Cache entries below preloaded_ came from the preload or the store
+  /// file; those in [preloaded_, library_end_) from the library file.
+  std::size_t preloaded_ = 0;
+  std::size_t library_end_ = 0;
+  std::size_t merged_ = 0;
 };
-
-/// Serial resolve phase: placement-ordered lookups make the choice of
-/// representative per pattern class a pure function of the layout, and
-/// the library's near-match retrievals inherit the same determinism.
-void resolve_tiles(CorrectionCache& cache, const LibrarySession& library,
-                   std::vector<TileWork>& tiles, FlowStats& stats) {
-  for (TileWork& t : tiles) {
-    t.res = cache.resolve(t.key);
-    t.replay = t.res.outcome == CacheOutcome::kHit ||
-               t.res.outcome == CacheOutcome::kSymmetryHit;
-    library.on_resolved(t, stats);
-  }
-}
-
-void finalize_cache_stats(const CorrectionCache& cache, FlowStats& stats) {
-  const CorrectionCacheStats& cs = cache.stats();
-  stats.cache_hits = cs.hits + cs.symmetry_hits;
-  stats.cache_misses = cs.misses;
-  stats.cache_conflicts = cs.conflicts;
-}
 
 double elapsed_ms(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -325,53 +416,60 @@ class PhaseScope {
   std::chrono::steady_clock::time_point t0_;
 };
 
-/// Fold one freshly solved tile's result into the flow accounting
-/// (identical in both flows and in every flat pass).
-void account_fresh_solve(const ModelOpcResult& result, FlowStats& stats) {
-  ++stats.opc_runs;
-  stats.simulations += result.history.size();
-  stats.tile_simulations.push_back(result.history.size());
-  stats.all_converged = stats.all_converged && result.converged;
-  if (!result.history.empty()) {
-    const OpcIteration& last = result.final_iteration();
-    stats.max_abs_epe_nm = std::max(stats.max_abs_epe_nm, last.max_abs_epe_nm);
-    stats.worst_rms_epe_nm =
-        std::max(stats.worst_rms_epe_nm, last.rms_epe_nm);
+/// A tile's share of its fresh solve. Model output keeps the polygons
+/// overlapping the tile's drawn area, dropping the neighbour context.
+/// ILT can synthesize free-floating assists that overlap no drawn shape,
+/// so its share is everything inside the window (the legalizer clips to
+/// it); the locked context passthrough sits outside and drops.
+std::vector<Polygon> keep_own(const Tile& tile, const TileWork& t) {
+  std::vector<Polygon> own;
+  if (t.ilt) {
+    for (const auto& p : t.ilt_result.corrected) {
+      if (tile.window.contains(p.bbox())) own.push_back(p);
+    }
+  } else {
+    for (const auto& p : t.result.corrected) {
+      if (!tile.own_region.intersected(geom::Region(p)).empty()) {
+        own.push_back(p);
+      }
+    }
   }
+  return own;
 }
 
-/// Fold one freshly ILT-solved tile into the accounting. The tile's
-/// simulation budget is the model iterations that preceded an
-/// escalation (0 under kIlt) plus the accepted ILT descent steps; the
-/// EPE contribution is the measured error of the legalized mask.
-void account_ilt_solve(const TileWork& t, FlowStats& stats) {
+/// Fold one freshly solved tile into the flow accounting. The tile's
+/// simulation budget is its model iterations (none under kIlt) plus any
+/// ILT descent steps (none under kModel), so an escalation that kept the
+/// model answer (solve_tile_engine's never-regress rule) still pays for
+/// the descent it ran. The EPE and convergence contribution come from
+/// whichever answer the tile kept. ilt_escalated counts escalation
+/// attempts; ilt_tiles and ilt_iterations count ILT outputs only.
+void account_solve(const TileWork& t, FlowStats& stats) {
+  const auto ilt_steps = static_cast<std::size_t>(t.ilt_result.iterations);
+  const std::size_t sims = t.result.history.size() + ilt_steps;
   ++stats.opc_runs;
-  const std::size_t sims =
-      (t.escalated ? t.result.history.size() : 0) +
-      static_cast<std::size_t>(t.ilt_result.iterations);
   stats.simulations += sims;
   stats.tile_simulations.push_back(sims);
-  stats.all_converged = stats.all_converged && t.ilt_result.converged;
-  stats.max_abs_epe_nm = std::max(stats.max_abs_epe_nm, t.ilt_max_epe);
-  stats.worst_rms_epe_nm = std::max(stats.worst_rms_epe_nm, t.ilt_rms_epe);
-  ++stats.ilt_tiles;
-  stats.ilt_iterations += static_cast<std::size_t>(t.ilt_result.iterations);
+  if (t.ilt) {
+    stats.all_converged = stats.all_converged && t.ilt_result.converged;
+    stats.max_abs_epe_nm = std::max(stats.max_abs_epe_nm, t.ilt_max_epe);
+    stats.worst_rms_epe_nm = std::max(stats.worst_rms_epe_nm, t.ilt_rms_epe);
+    ++stats.ilt_tiles;
+    stats.ilt_iterations += ilt_steps;
+  } else {
+    stats.all_converged = stats.all_converged && t.result.converged;
+    if (!t.result.history.empty()) {
+      const OpcIteration& last = t.result.final_iteration();
+      stats.max_abs_epe_nm =
+          std::max(stats.max_abs_epe_nm, last.max_abs_epe_nm);
+      stats.worst_rms_epe_nm =
+          std::max(stats.worst_rms_epe_nm, last.rms_epe_nm);
+    }
+  }
   if (t.escalated) {
     ++stats.ilt_escalated;
     trace::metrics().counter(trace::metric::kIltEscalations).add(1);
   }
-}
-
-/// An escalated tile that kept the model answer (solve_tile_engine's
-/// never-regress rule) still spent the ILT descent: fold those
-/// simulations into the tile's budget and count the escalation attempt
-/// — ilt_escalated counts attempts, ilt_tiles counts ILT outputs.
-void account_reverted_escalation(const TileWork& t, FlowStats& stats) {
-  const auto sims = static_cast<std::size_t>(t.ilt_result.iterations);
-  stats.simulations += sims;
-  if (!stats.tile_simulations.empty()) stats.tile_simulations.back() += sims;
-  ++stats.ilt_escalated;
-  trace::metrics().counter(trace::metric::kIltEscalations).add(1);
 }
 
 /// End of a flow run: publish the flow-level counters and the per-tile
@@ -394,91 +492,6 @@ void publish_flow_metrics(const trace::MetricsSnapshot& before,
   }
   stats.metrics = trace::MetricsSnapshot::delta(before, reg.snapshot());
 }
-
-/// The store side of a flow run: preload on resume, stream fresh solves
-/// from the serial merge phase, and host the fail_after_tiles fault
-/// injection (which works with or without a store — a crash is a crash).
-/// Constructed and used exclusively from the flow's serial sections, so
-/// the TSan contract of the phases is untouched.
-class StoreSession {
- public:
-  StoreSession(const FlowSpec& spec, std::string_view flow_kind,
-               CorrectionCache& cache, FlowStats& stats)
-      : fail_after_(spec.fail_after_tiles), sink_(spec.record_sink) {
-    // In-memory preload (the daemon's shared library) imports first, so
-    // its entries win representative selection over file records — both
-    // replay translation-exactly, so the choice cannot change output.
-    if (spec.preload) {
-      if (!spec.cache) {
-        throw util::InputError(
-            "correction store: FlowSpec::preload requires the correction "
-            "cache (FlowSpec::cache) — preloads are cache entries");
-      }
-      for (const store::TileRecord& rec : *spec.preload) {
-        cache.import_entry(rec);
-      }
-      stats.store_entries_loaded += spec.preload->size();
-    }
-    if (!spec.store_path.empty()) {
-      if (!spec.cache) {
-        throw util::InputError(
-            "correction store: store_path requires the correction cache "
-            "(FlowSpec::cache) — the store persists cache entries");
-      }
-      const std::uint64_t fp = flow_fingerprint(spec, flow_kind);
-      if (spec.resume && std::filesystem::exists(spec.store_path)) {
-        store::LoadResult loaded = store::ResultStore::load(
-            spec.store_path, fp);  // throws InputError with the STO line
-        for (const store::TileRecord& rec : loaded.records) {
-          cache.import_entry(rec);
-        }
-        stats.store_entries_loaded += loaded.records.size();
-        stats.store_tail_recovered = loaded.tail_recovered;
-        store_.emplace(store::ResultStore::append_to(
-            spec.store_path, loaded.valid_bytes, spec.store_sync));
-      } else {
-        store_.emplace(
-            store::ResultStore::create(spec.store_path, fp, spec.store_sync));
-      }
-    }
-    preloaded_ = cache.size();
-  }
-
-  /// Tiles resolved against entries below this index replay *from the
-  /// store* (imports happen before any in-run reservation).
-  std::size_t preloaded() const { return preloaded_; }
-
-  /// Serial merge phase, once per merged tile: persist a fresh solve,
-  /// hand it to the record sink, account a store replay, and fire the
-  /// fault injection.
-  void on_tile_merged(const CorrectionCache& cache, bool replay,
-                      std::size_t entry, FlowStats& stats) {
-    if (replay) {
-      // Entries below preloaded_ came from the store file or the
-      // in-memory preload — either way, reuse from a previous run.
-      if (entry < preloaded_) ++stats.store_hits;
-    } else if (store_ || sink_) {
-      store::TileRecord rec = cache.export_entry(entry);
-      if (store_) {
-        store_->append(rec);
-        ++stats.store_entries_appended;
-      }
-      if (sink_) sink_(rec);
-    }
-    ++merged_;
-    if (fail_after_ >= 0 && merged_ >= static_cast<std::size_t>(fail_after_)) {
-      throw FlowAborted("flow aborted by FlowSpec::fail_after_tiles after " +
-                        std::to_string(merged_) + " merged tiles");
-    }
-  }
-
- private:
-  std::optional<store::ResultStore> store_;
-  std::size_t preloaded_ = 0;
-  std::size_t merged_ = 0;
-  int fail_after_;
-  const std::function<void(const store::TileRecord&)>& sink_;
-};
 
 /// Driver-thread dispatch for the FlowSpec::cancel / FlowSpec::progress
 /// hooks. Every call happens on the flow's serial driver thread, between
@@ -509,42 +522,22 @@ class JobHooks {
   const FlowSpec& spec_;
 };
 
-/// FlowSpec::mrc_deck split for the tiled signoff gate. Every
-/// edge-pair/boundary check is a local function of the geometry within
-/// the largest rule distance of its marker, so it tiles exactly; the
-/// connected-component area check does not, so it runs once globally.
-struct MrcDeckSplit {
-  mrc::Deck edge;
-  mrc::Deck area;
-  geom::Coord rule_max = 0;  ///< largest edge-deck rule distance
-};
-
-MrcDeckSplit split_mrc_deck(const mrc::Deck& deck) {
-  MrcDeckSplit split;
-  for (const mrc::Check& c : deck) {
-    if (c.kind == mrc::CheckKind::kArea) {
-      split.area.push_back(c);
-    } else {
-      split.edge.push_back(c);
-      split.rule_max = std::max(split.rule_max, c.value);
-    }
+/// Seal the signoff report: fold each gate tile's violations (tile
+/// order — the histogram observation order matches tile_simulations),
+/// then the global findings, into the merged report in canonical order.
+void seal_mrc_report(std::vector<std::vector<mrc::Violation>> per_tile,
+                     std::vector<mrc::Violation> global, bool dedup,
+                     FlowStats& stats) {
+  std::vector<mrc::Violation> merged;
+  for (std::vector<mrc::Violation>& tile : per_tile) {
+    stats.tile_mrc_violations.push_back(tile.size());
+    trace::metrics().counter(trace::metric::kMrcTilesChecked).add(1);
+    trace::metrics()
+        .histogram(trace::metric::kMrcTileViolations)
+        .observe(static_cast<double>(tile.size()));
+    for (mrc::Violation& v : tile) merged.push_back(std::move(v));
   }
-  return split;
-}
-
-/// Fold one tile's violation count into the accounting (serial, tile
-/// order — the histogram observation order matches tile_simulations).
-void account_mrc_tile(std::size_t violations, FlowStats& stats) {
-  stats.tile_mrc_violations.push_back(violations);
-  trace::metrics().counter(trace::metric::kMrcTilesChecked).add(1);
-  trace::metrics()
-      .histogram(trace::metric::kMrcTileViolations)
-      .observe(static_cast<double>(violations));
-}
-
-/// Seal the merged report: canonical order, counters, stats flags.
-void finish_mrc_report(std::vector<mrc::Violation> merged, bool dedup,
-                       FlowStats& stats) {
+  for (mrc::Violation& v : global) merged.push_back(std::move(v));
   if (dedup) mrc::sort_and_dedup(merged);
   stats.mrc.violations = std::move(merged);
   stats.mrc_checked = true;
@@ -553,89 +546,310 @@ void finish_mrc_report(std::vector<mrc::Violation> merged, bool dedup,
       .add(stats.mrc.violations.size());
 }
 
-/// Flat-flow signoff: sweep the written output per placement tile, in
-/// parallel, against the frozen corrected pool. Each tile checks the
-/// un-clipped polygons within `2 * rule_max` of its window and keeps
-/// the violations whose marker touches the window inflated by
-/// `rule_max` — every polygon a kept marker depends on is inside the
-/// query zone, so a kept violation is exact, and every violation on the
-/// mask falls inside at least one tile's kept zone. Straddling markers
-/// surface from several tiles and collapse in sort_and_dedup. The area
-/// deck runs once over the whole pool (global connectivity).
-void run_flat_mrc_gate(const FlowSpec& spec, TileExecutor& exec,
-                       const std::vector<Polygon>& pool,
-                       const std::vector<Rect>& windows, FlowStats& stats) {
-  if (spec.mrc_deck.empty()) return;
-  PhaseScope phase("flow.mrc", trace::metric::kFlowPhaseMrcMs);
-  const MrcDeckSplit deck = split_mrc_deck(spec.mrc_deck);
+/// Cell-flow signoff: cells are corrected in isolation, so they are
+/// signed off the same way — one gate tile per cell, full deck (a cell
+/// is its own connectivity universe here, so the area check tiles too).
+/// The report concatenates the cells in sorted order, NOT deduplicated:
+/// two cells with identical local geometry are distinct masks.
+void signoff_cells(const FlowSpec& spec, TileExecutor& exec,
+                   const std::vector<Tile>& tiles, FlowStats& stats) {
+  std::vector<std::vector<mrc::Violation>> per_tile(tiles.size());
+  exec.run(tiles.size(), [&](std::size_t i) {
+    trace::Span span("flow.mrc.tile", static_cast<std::int64_t>(i));
+    per_tile[i] =
+        mrc::check_polygons(tiles[i].corrected, spec.mrc_deck).violations;
+  });
+  seal_mrc_report(std::move(per_tile), {}, /*dedup=*/false, stats);
+}
 
+/// Flat-flow signoff: sweep the written flat mask per placement tile, in
+/// parallel. Each tile's window is its corrected extent, not the drawn
+/// one: corrected edges can move outward and the kept zones must cover
+/// every marker. Every edge-pair/boundary check is a local function of
+/// the geometry within the largest rule distance of its marker, so a
+/// tile checks the un-clipped polygons within `2 * rule_max` of its
+/// window and keeps the violations whose marker touches the window
+/// inflated by `rule_max` — every polygon a kept marker depends on is
+/// inside the query zone, so a kept violation is exact, and every
+/// violation on the mask falls inside at least one tile's kept zone.
+/// Straddling markers surface from several tiles and collapse in
+/// sort_and_dedup. The connected-component area check does not tile, so
+/// it runs once over the whole mask.
+void signoff_flat(const FlowSpec& spec, TileExecutor& exec,
+                  const std::vector<Tile>& tiles, FlowStats& stats) {
+  mrc::Deck edge_deck;
+  mrc::Deck area_deck;
+  geom::Coord rule_max = 0;
+  for (const mrc::Check& c : spec.mrc_deck) {
+    if (c.kind == mrc::CheckKind::kArea) {
+      area_deck.push_back(c);
+    } else {
+      edge_deck.push_back(c);
+      rule_max = std::max(rule_max, c.value);
+    }
+  }
+  std::vector<Polygon> pool;
+  std::vector<Rect> windows;
+  windows.reserve(tiles.size());
   Rect chip_box = geom::Rect::empty();
-  for (const auto& p : pool) chip_box = chip_box.united(p.bbox());
+  for (const Tile& tile : tiles) {
+    Rect w = geom::Rect::empty();
+    for (const auto& p : tile.corrected) {
+      w = w.united(p.bbox());
+      pool.push_back(p);
+    }
+    windows.push_back(w);
+    chip_box = chip_box.united(w);
+  }
   if (chip_box.is_empty()) {
-    finish_mrc_report({}, /*dedup=*/true, stats);
+    seal_mrc_report({}, {}, /*dedup=*/true, stats);
     return;
   }
-  const geom::Coord margin = 2 * deck.rule_max;
+  const geom::Coord margin = 2 * rule_max;
   geom::TileIndex index(chip_box.inflated(margin + 256), 2048);
   for (std::size_t i = 0; i < pool.size(); ++i) {
     index.insert(i, pool[i].bbox());
   }
 
-  std::vector<mrc::Violation> merged;
   std::vector<std::vector<mrc::Violation>> per_tile(windows.size());
   exec.run(windows.size(), [&](std::size_t i) {
     trace::Span span("flow.mrc.tile", static_cast<std::int64_t>(i));
     const Rect window = windows[i];
-    if (window.is_empty() || deck.edge.empty()) return;
+    if (window.is_empty() || edge_deck.empty()) return;
     std::vector<Polygon> local;
     for (std::size_t id : index.query(window.inflated(margin))) {
       local.push_back(pool[id]);
     }
-    mrc::MrcReport report = mrc::check_polygons(local, deck.edge);
-    const Rect keep = window.inflated(deck.rule_max);
+    mrc::MrcReport report = mrc::check_polygons(local, edge_deck);
+    const Rect keep = window.inflated(rule_max);
     for (mrc::Violation& v : report.violations) {
       if (v.marker.touches(keep)) per_tile[i].push_back(std::move(v));
     }
   });
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    account_mrc_tile(per_tile[i].size(), stats);
-    for (mrc::Violation& v : per_tile[i]) merged.push_back(std::move(v));
+  std::vector<mrc::Violation> area;
+  if (!area_deck.empty()) {
+    area = mrc::check_mask(geom::Region::from_polygons(pool), area_deck)
+               .violations;
   }
-
-  if (!deck.area.empty()) {
-    mrc::MrcReport area =
-        mrc::check_mask(geom::Region::from_polygons(pool), deck.area);
-    for (mrc::Violation& v : area.violations) merged.push_back(std::move(v));
-  }
-  finish_mrc_report(std::move(merged), /*dedup=*/true, stats);
+  seal_mrc_report(std::move(per_tile), std::move(area), /*dedup=*/true,
+                  stats);
 }
 
 /// Evaluate FlowSpec::mrc_action once the stats are sealed. kFail
-/// throws on error-severity findings only (MRC005 jogs warn); the
-/// message mirrors the pre-flight gate's shape.
+/// throws on error-severity findings only (MRC005 jogs warn).
 void apply_mrc_action(const FlowSpec& spec, FlowStats& stats) {
   if (!stats.mrc_checked || spec.mrc_action != mrc::Action::kFail) return;
   const lint::LintReport lint = mrc::to_lint_report(stats.mrc);
   if (lint.clean()) return;
-  std::set<std::string> error_codes;
-  for (const lint::Diagnostic& d : lint.findings()) {
-    if (d.severity == lint::Severity::kError) error_codes.insert(d.code);
+  throw MrcGateError(gate_message("MRC signoff gate", lint),
+                     std::move(stats));
+}
+
+/// The steps in which the cell and flat flows differ; everything else
+/// is the one driver below.
+struct FlowPlan {
+  const char* span;             ///< "flow.cell" | "flow.flat"
+  std::string_view kind;        ///< flow_fingerprint() flow kind
+  /// Lists the tiles in the placement order every serial phase follows.
+  std::vector<Tile> (*list_tiles)(Library&, const std::string& top,
+                                  const FlowSpec&);
+  litho::SimSpec sim;           ///< imaging spec of the solve phase
+  int passes;                   ///< context passes (cell flow: 1)
+  /// Gather each tile's halo context from the other tiles' latest masks.
+  bool halo_context;
+  void (*signoff)(const FlowSpec&, TileExecutor&, const std::vector<Tile>&,
+                  FlowStats&);
+};
+
+/// Distinct cells reachable from \p top with shapes on the input layer,
+/// each corrected in isolation in its own frame and written back to
+/// itself; the sorted std::set order is the placement order.
+std::vector<Tile> list_cells(Library& lib, const std::string& top,
+                             const FlowSpec& spec) {
+  std::set<std::string> reachable;
+  std::vector<std::string> queue{top};
+  while (!queue.empty()) {
+    const std::string name = queue.back();
+    queue.pop_back();
+    if (!reachable.insert(name).second) continue;
+    for (const auto& ref : lib.at(name).refs()) queue.push_back(ref.child);
   }
-  std::ostringstream os;
-  os << "MRC signoff gate found " << lint.errors() << " error(s) [";
-  bool first = true;
-  for (const std::string& code : error_codes) {
-    os << (first ? "" : " ") << code;
-    first = false;
+  std::vector<Tile> tiles;
+  for (const std::string& name : reachable) {
+    Cell& cell = lib.cell(name);
+    const auto shapes = cell.shapes(spec.input_layer);
+    if (shapes.empty()) continue;
+    tiles.push_back(make_tile({shapes.begin(), shapes.end()},
+                              cell.local_bbox(), cell));
   }
-  os << "]:";
-  std::size_t shown = 0;
-  for (const lint::Diagnostic& d : lint.findings()) {
-    if (d.severity != lint::Severity::kError) continue;
-    os << (shown == 0 ? " " : "; ") << d.to_line();
-    if (++shown == 3) break;
+  return tiles;
+}
+
+/// Every placement (cell instance with shapes on the input layer) in
+/// chip coordinates, depth-first like Library::flatten; all of them
+/// write to \p top.
+std::vector<Tile> list_placements(Library& lib, const std::string& top,
+                                  const FlowSpec& spec) {
+  std::vector<Tile> tiles;
+  std::vector<std::pair<std::string, Transform>> stack{{top, Transform{}}};
+  while (!stack.empty()) {
+    auto [name, t] = stack.back();
+    stack.pop_back();
+    const Cell& cell = lib.at(name);
+    if (!cell.shapes(spec.input_layer).empty()) {
+      std::vector<Polygon> drawn;
+      Rect window = geom::Rect::empty();
+      for (const auto& s : cell.shapes(spec.input_layer)) {
+        Polygon placed = t(s);
+        window = window.united(placed.bbox());
+        drawn.push_back(std::move(placed));
+      }
+      tiles.push_back(make_tile(std::move(drawn), window, lib.cell(top)));
+    }
+    for (const auto& ref : cell.refs()) {
+      for (int r = 0; r < ref.rows; ++r) {
+        for (int c = 0; c < ref.columns; ++c) {
+          stack.emplace_back(ref.child, t * ref.element_transform(c, r));
+        }
+      }
+    }
   }
-  throw MrcGateError(os.str(), std::move(stats));
+  return tiles;
+}
+
+/// The tiled driver both flows run: list the tiles, then per context
+/// pass gather → resolve → solve → merge, write the merged masks to the
+/// output cells, and sign them off (see the execution model in flow.h).
+FlowStats run_tiled_flow(Library& lib, const std::string& top,
+                         const FlowSpec& spec, const FlowPlan& plan) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const trace::MetricsSnapshot before = trace::metrics().snapshot();
+  trace::Span flow_span(plan.span);
+  if (spec.preflight) preflight_gate(lib, spec);
+  lib.validate();
+  FlowStats stats;
+
+  std::vector<Tile> tiles = plan.list_tiles(lib, top, spec);
+  const std::size_t n = tiles.size();
+  Rect chip_box = geom::Rect::empty();
+  for (const Tile& tile : tiles) chip_box = chip_box.united(tile.window);
+
+  ReuseSession reuse(spec, plan.kind, stats);
+  TileExecutor exec(spec.jobs);
+  JobHooks hooks(spec);
+
+  for (int pass = 0; pass < plan.passes; ++pass) {
+    // Context pool for this pass: every tile's latest mask state, frozen
+    // before the phases start, so gathers are read-only.
+    std::vector<Polygon> pool;
+    std::optional<geom::TileIndex> pool_index;
+    if (plan.halo_context && !chip_box.is_empty()) {
+      for (const Tile& tile : tiles) {
+        pool.insert(pool.end(), tile.corrected.begin(), tile.corrected.end());
+      }
+      pool_index.emplace(chip_box.inflated(spec.halo_nm + 256), 2048);
+      for (std::size_t i = 0; i < pool.size(); ++i) {
+        pool_index->insert(i, pool[i].bbox());
+      }
+    }
+    std::vector<TileWork> work(n);
+
+    // Phase A — gather (parallel): own DRAWN shapes (design intent never
+    // goes stale) plus, in the flat flow, the latest corrected
+    // neighbours as context.
+    {
+      hooks.phase("gather", pass, n);
+      PhaseScope phase("flow.gather", trace::metric::kFlowPhaseGatherMs);
+      exec.run(n, [&](std::size_t i) {
+        trace::Span span("flow.gather.tile", static_cast<std::int64_t>(i));
+        const Tile& tile = tiles[i];
+        TileWork& t = work[i];
+        t.targets = tile.drawn;
+        if (pool_index) {
+          for (std::size_t id :
+               pool_index->query(tile.window.inflated(spec.halo_nm))) {
+            const Polygon& cand = pool[id];
+            // Skip our own shapes: anything overlapping our drawn area
+            // is ours (moves are far smaller than placement spacing).
+            if (!tile.own_region.intersected(geom::Region(cand.normalized()))
+                     .empty()) {
+              continue;
+            }
+            t.targets.push_back(cand);
+          }
+        }
+        if (spec.cache) {
+          t.key = CorrectionCache::make_key(t.targets, tile.own_region,
+                                            tile.window);
+        }
+      });
+    }
+
+    // Phase B — resolve (serial, placement order).
+    {
+      hooks.phase("resolve", pass, n);
+      PhaseScope phase("flow.resolve", trace::metric::kFlowPhaseResolveMs);
+      for (TileWork& t : work) reuse.resolve(t, stats);
+    }
+
+    // Phase C — solve (parallel; solve_tile_engine is a pure function of
+    // the per-tile inputs, warm seeds included — they were fixed
+    // serially).
+    {
+      hooks.phase("solve", pass, n);
+      PhaseScope phase("flow.solve", trace::metric::kFlowPhaseSolveMs);
+      exec.run(n, [&](std::size_t i) {
+        TileWork& t = work[i];
+        if (t.replay) return;
+        trace::Span span("flow.solve.tile", static_cast<std::int64_t>(i));
+        WarmStart warm;
+        if (t.warm) warm.seeds = t.seeds;
+        solve_tile_engine(spec, plan.sim, tiles[i].window,
+                          t.warm ? &warm : nullptr, t);
+      });
+    }
+
+    // Phase D — merge (serial, placement order): account, replay or
+    // keep the fresh solve, feed the reuse session.
+    {
+      hooks.phase("merge", pass, n);
+      PhaseScope phase("flow.merge", trace::metric::kFlowPhaseMergeMs);
+      for (std::size_t i = 0; i < n; ++i) {
+        hooks.check_cancel();
+        TileWork& t = work[i];
+        if (t.replay) {
+          tiles[i].corrected = reuse.fetch(t);
+          stats.tile_simulations.push_back(0);
+        } else {
+          account_solve(t, stats);
+          tiles[i].corrected = keep_own(tiles[i], t);
+        }
+        reuse.merge(t, tiles[i].corrected, stats);
+        hooks.tile_merged(pass, i + 1, n);
+      }
+    }
+  }
+
+  for (Tile& tile : tiles) tile.out->clear_layer(spec.output_layer);
+  for (const Tile& tile : tiles) {
+    for (const auto& p : tile.corrected) {
+      tile.out->add_polygon(spec.output_layer, p);
+      ++stats.corrected_polygons;
+    }
+  }
+
+  // Phase E — MRC signoff (parallel, read-only on the written output).
+  if (!spec.mrc_deck.empty()) {
+    hooks.phase("mrc", plan.passes - 1, n);
+    PhaseScope phase("flow.mrc", trace::metric::kFlowPhaseMrcMs);
+    plan.signoff(spec, exec, tiles, stats);
+  }
+
+  reuse.finish(stats);
+  publish_flow_metrics(before, stats);
+  stats.wall_ms = elapsed_ms(t0);
+  apply_mrc_action(spec, stats);
+  return stats;
 }
 
 }  // namespace
@@ -789,372 +1003,23 @@ std::string render_stats_json(const FlowStats& stats) {
 
 FlowStats run_cell_opc(Library& lib, const std::string& top,
                        const FlowSpec& spec) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const trace::MetricsSnapshot before = trace::metrics().snapshot();
-  trace::Span flow_span("flow.cell");
-  if (spec.preflight) preflight_gate(lib, spec);
-  lib.validate();
-  FlowStats stats;
-
-  // Distinct reachable cells; the sorted std::set order is the placement
-  // order every serial phase below follows.
-  std::set<std::string> reachable;
-  std::vector<std::string> queue{top};
-  while (!queue.empty()) {
-    const std::string name = queue.back();
-    queue.pop_back();
-    if (!reachable.insert(name).second) continue;
-    for (const auto& ref : lib.at(name).refs()) queue.push_back(ref.child);
-  }
-  std::vector<std::string> work;
-  for (const std::string& name : reachable) {
-    if (!lib.at(name).shapes(spec.input_layer).empty()) {
-      work.push_back(name);
-    }
-  }
-
-  CorrectionCache cache({spec.cache_symmetry});
-  StoreSession store(spec, "cell", cache, stats);
-  // After StoreSession: store/preload entries precede library imports in
-  // every resolve bucket, so store_hits keep their pre-library meaning.
-  LibrarySession library(spec, "cell", cache, stats);
-  TileExecutor exec(spec.jobs);
-  JobHooks hooks(spec);
-  std::vector<TileWork> tiles(work.size());
-
-  // Phase A — gather (parallel, read-only on the library).
-  {
-    hooks.phase("gather", 0, work.size());
-    PhaseScope phase("flow.gather", trace::metric::kFlowPhaseGatherMs);
-    exec.run(work.size(), [&](std::size_t i) {
-      trace::Span span("flow.gather.tile", static_cast<std::int64_t>(i));
-      const Cell& cell = lib.at(work[i]);
-      const auto shapes = cell.shapes(spec.input_layer);
-      tiles[i].targets.assign(shapes.begin(), shapes.end());
-      if (spec.cache) {
-        tiles[i].key = CorrectionCache::make_key(
-            tiles[i].targets, geom::Region::from_polygons(tiles[i].targets),
-            cell.local_bbox());
-      }
-    });
-  }
-
-  // Phase B — resolve (serial, in order).
-  {
-    hooks.phase("resolve", 0, work.size());
-    PhaseScope phase("flow.resolve", trace::metric::kFlowPhaseResolveMs);
-    if (spec.cache) resolve_tiles(cache, library, tiles, stats);
-  }
-
-  // Phase C — solve (parallel; run_model_opc is a pure function of the
-  // per-tile inputs, warm seeds included — they were fixed serially).
-  {
-    hooks.phase("solve", 0, work.size());
-    PhaseScope phase("flow.solve", trace::metric::kFlowPhaseSolveMs);
-    exec.run(work.size(), [&](std::size_t i) {
-      TileWork& t = tiles[i];
-      if (t.replay) return;
-      trace::Span span("flow.solve.tile", static_cast<std::int64_t>(i));
-      WarmStart warm;
-      if (t.warm) warm.seeds = t.seeds;
-      solve_tile_engine(spec, spec.sim, lib.at(work[i]).local_bbox(),
-                        t.warm ? &warm : nullptr, t);
-    });
-  }
-
-  // Phase D — merge (serial, in order): account, store/replay, write.
-  {
-    hooks.phase("merge", 0, work.size());
-    PhaseScope phase("flow.merge", trace::metric::kFlowPhaseMergeMs);
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      hooks.check_cancel();
-      TileWork& t = tiles[i];
-      std::vector<Polygon> corrected;
-      if (t.replay) {
-        corrected = cache.fetch(t.res.entry, t.key);
-        stats.tile_simulations.push_back(0);
-      } else {
-        if (t.ilt) {
-          corrected = std::move(t.ilt_result.corrected);
-          account_ilt_solve(t, stats);
-        } else {
-          corrected = std::move(t.result.corrected);
-          account_fresh_solve(t.result, stats);
-          if (t.escalated) account_reverted_escalation(t, stats);
-        }
-        if (spec.cache) {
-          cache.store(t.res.entry, t.key, corrected);
-          // ILT output carries no fragment offsets, so there is nothing
-          // to seed warm starts from — the library append is model-only.
-          if (!t.ilt) library.on_fresh_solve(cache, t, stats);
-        }
-      }
-      Cell& cell = lib.cell(work[i]);
-      cell.clear_layer(spec.output_layer);
-      for (const auto& p : corrected) {
-        cell.add_polygon(spec.output_layer, p);
-        ++stats.corrected_polygons;
-      }
-      store.on_tile_merged(cache, t.replay, t.res.entry, stats);
-      hooks.tile_merged(0, i + 1, work.size());
-    }
-  }
-
-  // Phase E — MRC signoff (parallel, read-only on the written output).
-  // Cells are corrected in isolation, so they are signed off the same
-  // way: one gate tile per cell, full deck (a cell is its own
-  // connectivity universe here, so the area check tiles too).
-  if (!spec.mrc_deck.empty()) {
-    hooks.phase("mrc", 0, work.size());
-    PhaseScope phase("flow.mrc", trace::metric::kFlowPhaseMrcMs);
-    std::vector<mrc::MrcReport> reports(work.size());
-    exec.run(work.size(), [&](std::size_t i) {
-      trace::Span span("flow.mrc.tile", static_cast<std::int64_t>(i));
-      const auto shapes = lib.at(work[i]).shapes(spec.output_layer);
-      const std::vector<Polygon> mask(shapes.begin(), shapes.end());
-      reports[i] = mrc::check_polygons(mask, spec.mrc_deck);
-    });
-    std::vector<mrc::Violation> merged;
-    for (std::size_t i = 0; i < work.size(); ++i) {
-      account_mrc_tile(reports[i].violations.size(), stats);
-      for (mrc::Violation& v : reports[i].violations) {
-        merged.push_back(std::move(v));
-      }
-    }
-    // Concatenated in sorted cell order, NOT deduplicated: two cells
-    // with identical local geometry are distinct masks.
-    finish_mrc_report(std::move(merged), /*dedup=*/false, stats);
-  }
-
-  finalize_cache_stats(cache, stats);
-  publish_flow_metrics(before, stats);
-  stats.wall_ms = elapsed_ms(t0);
-  apply_mrc_action(spec, stats);
-  return stats;
+  return run_tiled_flow(lib, top, spec,
+                        {"flow.cell", "cell", list_cells, spec.sim,
+                         /*passes=*/1, /*halo_context=*/false,
+                         signoff_cells});
 }
 
 FlowStats run_flat_opc(Library& lib, const std::string& top,
                        const FlowSpec& spec) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const trace::MetricsSnapshot before = trace::metrics().snapshot();
-  trace::Span flow_span("flow.flat");
-  if (spec.preflight) preflight_gate(lib, spec);
-  lib.validate();
-  FlowStats stats;
-
   // The imaging frame must cover the whole context halo, or context
   // shapes near the frame edge enter the simulation clipped and the
   // "true context" promise silently degrades.
-  FlowSpec eff = spec;
-  eff.sim.guard_nm = std::max(spec.sim.guard_nm, spec.halo_nm);
-
-  // Flatten once for the chip extent (context queries use the per-pass
-  // corrected pool below, which starts from the same drawn geometry).
-  const std::vector<Polygon> flat = lib.flatten(top, spec.input_layer);
-  if (flat.empty()) return stats;
-  Rect chip_box = geom::Rect::empty();
-  for (const auto& p : flat) chip_box = chip_box.united(p.bbox());
-
-  // Enumerate placements (cell instances with shapes on the input layer).
-  struct Placement {
-    const Cell* cell;
-    Transform transform;
-  };
-  std::vector<Placement> placements;
-  // Depth-first expansion mirroring Library::flatten.
-  std::vector<std::pair<std::string, Transform>> stack{{top, Transform{}}};
-  while (!stack.empty()) {
-    auto [name, t] = stack.back();
-    stack.pop_back();
-    const Cell& cell = lib.at(name);
-    if (!cell.shapes(spec.input_layer).empty()) {
-      placements.push_back({&cell, t});
-    }
-    for (const auto& ref : cell.refs()) {
-      for (int r = 0; r < ref.rows; ++r) {
-        for (int c = 0; c < ref.columns; ++c) {
-          stack.emplace_back(ref.child, t * ref.element_transform(c, r));
-        }
-      }
-    }
-  }
-
-  // Per-placement drawn geometry, window, and own-area region.
-  struct Job {
-    std::vector<Polygon> drawn;
-    Rect window = geom::Rect::empty();
-    geom::Region own_region;
-    std::vector<Polygon> corrected;  ///< latest pass output (own only)
-  };
-  std::vector<Job> jobs;
-  jobs.reserve(placements.size());
-  for (const Placement& pl : placements) {
-    Job job;
-    for (const auto& s : pl.cell->shapes(spec.input_layer)) {
-      Polygon placed = pl.transform(s);
-      job.window = job.window.united(placed.bbox());
-      job.drawn.push_back(std::move(placed));
-    }
-    job.own_region = geom::Region::from_polygons(job.drawn);
-    job.corrected = job.drawn;  // pass-0 context = drawn geometry
-    jobs.push_back(std::move(job));
-  }
-
-  CorrectionCache cache({spec.cache_symmetry});
-  StoreSession store(spec, "flat", cache, stats);
-  // After StoreSession: store/preload entries precede library imports in
-  // every resolve bucket, so store_hits keep their pre-library meaning.
-  LibrarySession library(spec, "flat", cache, stats);
-  TileExecutor exec(spec.jobs);
-  JobHooks hooks(spec);
-
-  const int passes = std::max(1, spec.flat_context_passes);
-  for (int pass = 0; pass < passes; ++pass) {
-    // Context pool for this pass: every placement's latest mask state.
-    // Frozen before the phases start, so gathers are read-only.
-    std::vector<Polygon> pool;
-    for (const Job& job : jobs) {
-      for (const auto& p : job.corrected) {
-        pool.push_back(p);
-      }
-    }
-    geom::TileIndex pool_index(chip_box.inflated(spec.halo_nm + 256), 2048);
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      pool_index.insert(i, pool[i].bbox());
-    }
-
-    std::vector<TileWork> tiles(jobs.size());
-
-    // Phase A — gather (parallel): own DRAWN shapes (design intent never
-    // goes stale) plus the latest corrected neighbours as context.
-    {
-      hooks.phase("gather", pass, jobs.size());
-      PhaseScope phase("flow.gather", trace::metric::kFlowPhaseGatherMs);
-      exec.run(jobs.size(), [&](std::size_t i) {
-        trace::Span span("flow.gather.tile", static_cast<std::int64_t>(i));
-        const Job& job = jobs[i];
-        TileWork& t = tiles[i];
-        t.targets = job.drawn;
-        for (std::size_t id :
-             pool_index.query(job.window.inflated(spec.halo_nm))) {
-          const Polygon& cand = pool[id];
-          // Skip our own shapes: anything overlapping our drawn area is
-          // ours (moves are far smaller than placement spacing).
-          if (!job.own_region.intersected(geom::Region(cand.normalized()))
-                   .empty()) {
-            continue;
-          }
-          t.targets.push_back(cand);
-        }
-        if (spec.cache) {
-          t.key = CorrectionCache::make_key(t.targets, job.own_region,
-                                            job.window);
-        }
-      });
-    }
-
-    // Phase B — resolve (serial, placement order).
-    {
-      hooks.phase("resolve", pass, jobs.size());
-      PhaseScope phase("flow.resolve", trace::metric::kFlowPhaseResolveMs);
-      if (spec.cache) resolve_tiles(cache, library, tiles, stats);
-    }
-
-    // Phase C — solve (parallel).
-    {
-      hooks.phase("solve", pass, jobs.size());
-      PhaseScope phase("flow.solve", trace::metric::kFlowPhaseSolveMs);
-      exec.run(jobs.size(), [&](std::size_t i) {
-        TileWork& t = tiles[i];
-        if (t.replay) return;
-        trace::Span span("flow.solve.tile", static_cast<std::int64_t>(i));
-        WarmStart warm;
-        if (t.warm) warm.seeds = t.seeds;
-        solve_tile_engine(spec, eff.sim, jobs[i].window,
-                          t.warm ? &warm : nullptr, t);
-      });
-    }
-
-    // Phase D — merge (serial, placement order). A replay's
-    // representative always precedes it in this order (resolve handed
-    // out entries in the same order), so every store lands before the
-    // fetch that needs it.
-    {
-      hooks.phase("merge", pass, jobs.size());
-      PhaseScope phase("flow.merge", trace::metric::kFlowPhaseMergeMs);
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        hooks.check_cancel();
-        Job& job = jobs[i];
-        TileWork& t = tiles[i];
-        if (t.replay) {
-          job.corrected = cache.fetch(t.res.entry, t.key);
-          stats.tile_simulations.push_back(0);
-          store.on_tile_merged(cache, true, t.res.entry, stats);
-          hooks.tile_merged(pass, i + 1, jobs.size());
-          continue;
-        }
-        job.corrected.clear();
-        if (t.ilt) {
-          account_ilt_solve(t, stats);
-          // ILT can synthesize free-floating assists that overlap no
-          // drawn shape, so "ours" is everything inside the window (the
-          // legalizer clips to it); the locked context passthrough sits
-          // outside and drops here, like the neighbour filter below.
-          for (const auto& p : t.ilt_result.corrected) {
-            if (job.window.contains(p.bbox())) job.corrected.push_back(p);
-          }
-        } else {
-          account_fresh_solve(t.result, stats);
-          if (t.escalated) account_reverted_escalation(t, stats);
-          for (const auto& p : t.result.corrected) {
-            if (!job.own_region.intersected(geom::Region(p)).empty()) {
-              job.corrected.push_back(p);
-            }
-          }
-        }
-        if (spec.cache) {
-          cache.store(t.res.entry, t.key, job.corrected);
-          if (!t.ilt) library.on_fresh_solve(cache, t, stats);
-        }
-        store.on_tile_merged(cache, false, t.res.entry, stats);
-        hooks.tile_merged(pass, i + 1, jobs.size());
-      }
-    }
-  }
-
-  Cell& out_cell = lib.cell(top);
-  out_cell.clear_layer(spec.output_layer);
-  for (const Job& job : jobs) {
-    for (const auto& p : job.corrected) {
-      out_cell.add_polygon(spec.output_layer, p);
-      ++stats.corrected_polygons;
-    }
-  }
-
-  // Phase E — MRC signoff over the written flat mask, one gate tile per
-  // placement (the corrected extents, not the drawn windows: corrected
-  // edges can move outward and the kept zones must cover every marker).
-  if (!spec.mrc_deck.empty()) {
-    hooks.phase("mrc", passes - 1, jobs.size());
-    std::vector<Polygon> final_pool;
-    std::vector<Rect> windows;
-    windows.reserve(jobs.size());
-    for (const Job& job : jobs) {
-      Rect w = geom::Rect::empty();
-      for (const auto& p : job.corrected) {
-        w = w.united(p.bbox());
-        final_pool.push_back(p);
-      }
-      windows.push_back(w);
-    }
-    run_flat_mrc_gate(spec, exec, final_pool, windows, stats);
-  }
-
-  finalize_cache_stats(cache, stats);
-  publish_flow_metrics(before, stats);
-  stats.wall_ms = elapsed_ms(t0);
-  apply_mrc_action(spec, stats);
-  return stats;
+  litho::SimSpec sim = spec.sim;
+  sim.guard_nm = std::max(spec.sim.guard_nm, spec.halo_nm);
+  return run_tiled_flow(lib, top, spec,
+                        {"flow.flat", "flat", list_placements, sim,
+                         std::max(1, spec.flat_context_passes),
+                         /*halo_context=*/true, signoff_flat});
 }
 
 }  // namespace opckit::opc

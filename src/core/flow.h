@@ -16,8 +16,14 @@
 ///
 /// ## Execution model
 ///
-/// Both flows run as a sequence of *phases* over independent work units
-/// (tiles: one placement in the flat flow, one cell in the cell flow):
+/// Both flows are one driver running *phases* over independent work
+/// units (tiles). Each flow supplies only what differs: how tiles are
+/// listed (sorted distinct cells, or placements in DFS order), the
+/// imaging spec (the flat flow widens the guard to the halo), the
+/// context passes (cell: one pass without context; flat:
+/// flat_context_passes with halo context from the other tiles' latest
+/// masks), the output cell (each cell itself, or \p top), and the MRC
+/// signoff. Per pass:
 ///
 ///   A. **gather** (parallel)  — assemble each tile's simulation input
 ///      (own targets + halo context) and its cache key; reads shared
@@ -25,10 +31,17 @@
 ///   B. **resolve** (serial)   — look every tile up in the correction
 ///      cache, in placement order, so the choice of representative per
 ///      pattern class never depends on thread timing.
-///   C. **solve** (parallel)   — run_model_opc on the tiles that missed;
-///      pure function of per-tile inputs.
-///   D. **merge** (serial)     — store/replay cache solutions and write
-///      corrected shapes, again in placement order.
+///   C. **solve** (parallel)   — run the FlowSpec::engine corrector
+///      (model OPC, pixel ILT, or model with ILT escalation) on the
+///      tiles that missed; pure function of per-tile inputs.
+///   D. **merge** (serial)     — account each solve, keep the tile's own
+///      share or replay its cache solution, again in placement order.
+///
+/// Then the merged masks are written to the output cells, and
+///
+///   E. **mrc** (parallel)     — the signoff gate sweeps the written
+///      output (FlowSpec::mrc_deck; per cell in the cell flow, tiled
+///      over the flat mask in the flat flow).
 ///
 /// Because every parallel phase is read-only on shared state and every
 /// ordering decision happens in a serial phase, the output is
@@ -46,6 +59,11 @@
 /// so a crashed run restarts from its last merged tile and an edited
 /// layout (ECO) re-solves only tiles whose halo neighborhood changed —
 /// both with output byte-identical to a from-scratch run.
+///
+/// Every reuse hook — store, preload, pattern library and the record
+/// sinks — runs through one reuse session around the run's correction
+/// cache. Each needs FlowSpec::cache; without it the flow refuses the
+/// hook up front with util::InputError, before any file is touched.
 #pragma once
 
 #include <atomic>

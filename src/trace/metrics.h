@@ -116,7 +116,7 @@ inline constexpr const char* kSvcProtocolErrors = "svc.protocol_errors";
 inline constexpr const char* kSvcCacheHits = "svc.cache_hits";
 inline constexpr const char* kSvcCacheLookups = "svc.cache_lookups";
 // Pattern-library (cross-run near-match retrieval) series — see
-// pattern/library.h and the flow's LibrarySession for when each fires.
+// pattern/library.h and the flow's ReuseSession for when each fires.
 inline constexpr const char* kPatLibraryRecordsLoaded =
     "pat.library_records_loaded";
 inline constexpr const char* kPatLibraryRecordsAppended =

@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "core/flow.h"
+#include "flow_reuse_hooks.h"
 #include "layout/generators.h"
 #include "pattern/library.h"
-#include "util/check.h"
 
 namespace opckit::opc {
 namespace {
@@ -69,11 +69,10 @@ std::string lib_path(const std::string& name) {
 }
 
 TEST(FlowLibrary, LibraryRequiresCache) {
-  FlowSpec spec = fast_flow();
-  spec.library_path = lib_path("flowlib_nocache.ocl");
-  spec.cache = false;
-  Library lib = iso_chip();
-  EXPECT_THROW(run_flat_opc(lib, "top", spec), util::InputError);
+  for (const char* hook : {"library_path", "library", "library_sink"}) {
+    testing_hooks::expect_hook_requires_cache(hook, fast_flow(),
+                                              [] { return iso_chip(); });
+  }
 }
 
 TEST(FlowLibrary, ExactHitReplaysByteIdenticalAtAnyJobs) {

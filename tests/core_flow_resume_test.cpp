@@ -7,9 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "core/flow.h"
+#include "flow_reuse_hooks.h"
 #include "layout/generators.h"
+#include "pattern/library.h"
 #include "store/result_store.h"
 #include "util/check.h"
 
@@ -222,11 +226,49 @@ TEST(FlowResume, FingerprintMismatchIsRefused) {
 }
 
 TEST(FlowResume, StoreRequiresCache) {
-  FlowSpec spec = fast_flow();
-  spec.store_path = store_path("flow_nocache.ocs");
-  spec.cache = false;
-  Library lib = sref_chip();
-  EXPECT_THROW(run_flat_opc(lib, "top", spec), util::InputError);
+  testing_hooks::expect_hook_requires_cache("store_path", fast_flow(),
+                                            [] { return sref_chip(); });
+}
+
+TEST(FlowResume, EmptyLayoutRunsLikeAnyOtherInBothFlows) {
+  // No shapes on the input layer: zero tiles, but both flows still set up
+  // reuse (the store is created, a foreign library refused), announce
+  // every phase, sign off, and time the run.
+  Library lib("chip");
+  lib.cell("leaf").add_rect(layout::layers::kMetal1,
+                            geom::Rect(0, 0, 180, 1200));
+  layout::make_chip(lib, "top", "leaf", 2, 1, {1400, 1800});
+
+  for (const bool flat : {false, true}) {
+    const auto run = flat ? run_flat_opc : run_cell_opc;
+    FlowSpec spec = fast_flow();
+    spec.mrc_deck = mrc::mask_deck_180();
+    spec.store_path = store_path("flow_empty.ocs");
+    std::vector<std::string> phases;
+    spec.progress = [&](const FlowProgress& p) {
+      phases.emplace_back(p.phase);
+    };
+    const FlowStats s = run(lib, "top", spec);
+    EXPECT_EQ(s.opc_runs, 0u);
+    EXPECT_TRUE(s.tile_simulations.empty());
+    EXPECT_TRUE(s.mrc_checked);
+    EXPECT_TRUE(s.mrc.violations.empty());
+    EXPECT_GT(s.wall_ms, 0.0);
+    EXPECT_FALSE(s.metrics.gauges.empty());
+    EXPECT_TRUE(std::filesystem::exists(spec.store_path));
+    std::vector<std::string> expected;
+    for (int pass = 0; pass < (flat ? spec.flat_context_passes : 1); ++pass) {
+      expected.insert(expected.end(), {"gather", "resolve", "solve", "merge"});
+    }
+    expected.push_back("mrc");
+    EXPECT_EQ(phases, expected) << (flat ? "flat" : "cell");
+
+    FlowSpec foreign = fast_flow();
+    foreign.library_path = store_path("flow_empty_foreign.ocl");
+    pat::PatternLibrary::open(foreign.library_path, 0xDEADBEEFULL);
+    EXPECT_THROW(run(lib, "top", foreign), util::InputError)
+        << (flat ? "flat" : "cell");
+  }
 }
 
 TEST(FlowResume, FaultInjectionWorksWithoutStore) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/flow.h"
@@ -289,6 +290,60 @@ TEST(IltFlow, FlatOutputIdenticalAcrossJobCounts) {
     EXPECT_EQ(s.ilt_tiles, s1.ilt_tiles) << "jobs=" << jobs;
     EXPECT_EQ(s.simulations, s1.simulations) << "jobs=" << jobs;
   }
+}
+
+TEST(IltFlow, CellEscalateOutputIdenticalAcrossJobCounts) {
+  // The cell flow runs escalation on the same terms as the flat flow:
+  // escalated tiles solve on pool workers and their kept answer passes
+  // the serial merge, so the written cells are identical at any jobs.
+  // Two hard cells inside 848 nm boundaries (a tip-to-tip pair and a 2x2
+  // contact array): tight windows where ILT can beat model OPC.
+  auto build = [] {
+    layout::Library lib("chip");
+    geom::Coord x = 0;
+    auto add = [&](const std::string& name, std::vector<geom::Rect> rects) {
+      layout::Cell& cell = lib.cell(name);
+      for (const geom::Rect& r : rects) {
+        cell.add_rect(layout::layers::kPoly, r);
+      }
+      cell.add_rect(layout::Layer{235, 0}, geom::Rect(-424, -424, 424, 424));
+      layout::CellRef ref;
+      ref.child = name;
+      ref.transform = geom::Transform(geom::Point{x, 0});
+      x += 1200;
+      lib.cell("top").add_ref(std::move(ref));
+    };
+    add("tip", {geom::Rect(-90, -400, 90, -100), geom::Rect(-90, 100, 90, 400)});
+    add("ctc", {geom::Rect(-330, -330, -110, -110),
+                geom::Rect(110, -330, 330, -110),
+                geom::Rect(-330, 110, -110, 330),
+                geom::Rect(110, 110, 330, 330)});
+    return lib;
+  };
+  opc::FlowSpec spec = ilt_flow();
+  spec.sim.guard_nm = 600;
+  spec.engine = opc::CorrectionEngine::kEscalate;
+  spec.opc.epe_tolerance_nm = 8.0;
+  spec.ilt_escalation_epe_nm = 8.0;
+
+  spec.jobs = 1;
+  layout::Library serial = build();
+  const opc::FlowStats s1 = opc::run_cell_opc(serial, "top", spec);
+  EXPECT_EQ(s1.ilt_escalated, 2u);
+  EXPECT_GT(s1.ilt_tiles, 0u);  // at least one cell keeps its ILT mask
+  const auto ref_tip = output_polys(serial, "tip", spec);
+  const auto ref_ctc = output_polys(serial, "ctc", spec);
+  ASSERT_FALSE(ref_tip.empty());
+  ASSERT_FALSE(ref_ctc.empty());
+
+  spec.jobs = 8;
+  layout::Library lib = build();
+  const opc::FlowStats s8 = opc::run_cell_opc(lib, "top", spec);
+  EXPECT_EQ(output_polys(lib, "tip", spec), ref_tip);
+  EXPECT_EQ(output_polys(lib, "ctc", spec), ref_ctc);
+  EXPECT_EQ(s8.ilt_tiles, s1.ilt_tiles);
+  EXPECT_EQ(s8.ilt_escalated, s1.ilt_escalated);
+  EXPECT_EQ(s8.tile_simulations, s1.tile_simulations);
 }
 
 TEST(IltFlow, EscalationThresholdGatesIlt) {

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/flow.h"
+#include "flow_reuse_hooks.h"
 #include "layout/generators.h"
 #include "service/library.h"
 
@@ -150,12 +154,12 @@ TEST(ServiceLibrary, PreloadAndRecordSinkRoundTripThroughFlow) {
 }
 
 TEST(ServiceLibrary, PreloadRequiresCache) {
-  Library chip = sparse_chip(1, 1);
-  opc::FlowSpec spec = fast_flow();
-  spec.cache = false;
-  const std::vector<store::TileRecord> shelf = {sample_record(0)};
-  spec.preload = &shelf;
-  EXPECT_THROW(opc::run_flat_opc(chip, "top", spec), util::InputError);
+  // The daemon's two hooks: the shelf it preloads and the sink it
+  // records fresh solves through.
+  for (const char* hook : {"preload", "record_sink"}) {
+    opc::testing_hooks::expect_hook_requires_cache(
+        hook, fast_flow(), [] { return sparse_chip(1, 1); });
+  }
 }
 
 TEST(ServiceLibrary, PreSetCancelAbortsBeforeAnyWork) {
@@ -168,31 +172,36 @@ TEST(ServiceLibrary, PreSetCancelAbortsBeforeAnyWork) {
 }
 
 TEST(ServiceLibrary, ProgressEventsCoverEveryPhaseInOrder) {
-  Library chip = sparse_chip(2, 2);
-  opc::FlowSpec spec = fast_flow();
-  std::vector<opc::FlowProgress> events;
-  spec.progress = [&](const opc::FlowProgress& p) { events.push_back(p); };
-  opc::run_flat_opc(chip, "top", spec);
+  // Both flows announce gather → resolve → solve → merge once per context
+  // pass (the merge watermark climbing to the pass's tile count), then the
+  // MRC signoff, in exactly this order.
+  using Event = std::tuple<std::string, int, std::size_t, std::size_t>;
+  for (const bool flat : {true, false}) {
+    Library chip = sparse_chip(2, 2);
+    opc::FlowSpec spec = fast_flow();
+    spec.mrc_deck = mrc::mask_deck_180();
+    spec.mrc_action = mrc::Action::kWarn;
+    std::vector<Event> events;
+    spec.progress = [&](const opc::FlowProgress& p) {
+      events.emplace_back(p.phase, p.pass, p.tiles_done, p.tiles_total);
+    };
+    (flat ? opc::run_flat_opc : opc::run_cell_opc)(chip, "top", spec);
 
-  ASSERT_FALSE(events.empty());
-  auto count_phase_starts = [&](std::string_view phase) {
-    std::size_t n = 0;
-    for (const auto& e : events) {
-      if (e.phase == phase && e.tiles_done == 0) ++n;
+    // Flat: four placements, two passes. Cell: the one leaf cell, once.
+    const int passes = flat ? 2 : 1;
+    const std::size_t tiles = flat ? 4 : 1;
+    std::vector<Event> expected;
+    for (int pass = 0; pass < passes; ++pass) {
+      for (const char* phase : {"gather", "resolve", "solve", "merge"}) {
+        expected.emplace_back(phase, pass, 0, tiles);
+      }
+      for (std::size_t done = 1; done <= tiles; ++done) {
+        expected.emplace_back("merge", pass, done, tiles);
+      }
     }
-    return n;
-  };
-  // Two context passes: each phase starts once per pass.
-  EXPECT_EQ(count_phase_starts("gather"), 2u);
-  EXPECT_EQ(count_phase_starts("resolve"), 2u);
-  EXPECT_EQ(count_phase_starts("solve"), 2u);
-  EXPECT_EQ(count_phase_starts("merge"), 2u);
-  // The merge watermark reaches tiles_total in the final pass.
-  const auto& last = events.back();
-  EXPECT_EQ(last.phase, "merge");
-  EXPECT_EQ(last.pass, 1);
-  EXPECT_EQ(last.tiles_done, last.tiles_total);
-  EXPECT_EQ(last.tiles_total, 4u);
+    expected.emplace_back("mrc", passes - 1, 0, tiles);
+    EXPECT_EQ(events, expected) << (flat ? "flat" : "cell");
+  }
 }
 
 TEST(ServiceLibrary, ProgressIsObservabilityOnly) {

@@ -45,7 +45,7 @@ job_sanitize() {
   (cd build-ci-asan && \
    ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
    ctest "${CTEST_ARGS[@]}" --no-tests=error -L store \
-         -R 'FlowResume\.FlatCrashThenResume')
+         -R 'FlowResume\.(Flat|Cell)CrashThenResume')
   # Same explicit gate for the observability suite (`trace` label): the
   # tracer's per-thread buffers and the metrics atomics must stay clean
   # under ASan/UBSan too, not just TSan.
@@ -115,9 +115,10 @@ job_tsan() {
    ctest "${CTEST_ARGS[@]}" --no-tests=error -L trace)
   # `socs` label: the process-wide KernelCache (mutex under concurrent
   # flow workers) and both engines' pooled chunked reductions are
-  # concurrency machinery — keep them in the TSan matrix explicitly.
+  # concurrency machinery — keep them, and the `metrology` edge cases,
+  # in the TSan matrix explicitly.
   (cd build-ci-tsan && \
-   ctest "${CTEST_ARGS[@]}" --no-tests=error -L socs)
+   ctest "${CTEST_ARGS[@]}" --no-tests=error -L 'socs|metrology')
   # `mrc` label: the MrcFlowGate suite drives the parallel signoff phase
   # at jobs=8 — the per-tile check_polygons calls run on pool workers and
   # must stay data-race-free against the serial accounting.
@@ -135,10 +136,10 @@ job_tsan() {
   # concurrent-clients and drain/abort tests exist for this job.
   (cd build-ci-tsan && \
    ctest "${CTEST_ARGS[@]}" --no-tests=error -L service)
-  # `pat` label: the library session feeds warm-start seeds to pool
-  # workers during the parallel solve phase and collects fresh solves
-  # back through the serial merge — the jobs=8 warm-started determinism
-  # test exists for this job.
+  # `pat` label: the flow's reuse session attaches near-match warm-start
+  # seeds in the serial resolve phase, pool workers read them during the
+  # parallel solve, and fresh solves flow back through the serial merge
+  # — the jobs=8 warm-started determinism test exists for this job.
   (cd build-ci-tsan && \
    ctest "${CTEST_ARGS[@]}" --no-tests=error -L pat)
   # `ilt` label: ILT tiles run on pool workers like any other solve —
