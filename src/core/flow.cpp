@@ -945,6 +945,9 @@ std::uint64_t flow_fingerprint(const FlowSpec& spec,
   mix_i(il.min_space_nm);
   mix_i(il.min_corner_nm);
   mix_d(il.min_area_nm2);
+  // The imaging engines' revision: identical knobs can still move the
+  // intensities when the engines change how they sum (appended field).
+  mix_i(kImagingEngineRevision);
   return h;
 }
 

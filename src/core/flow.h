@@ -368,6 +368,15 @@ class MrcGateError : public std::runtime_error {
 std::uint64_t flow_fingerprint(const FlowSpec& spec,
                                std::string_view flow_kind);
 
+/// Revision of the imaging engines, mixed last into flow_fingerprint.
+/// Bump it when the engines' intensities move for identical knobs, so
+/// stores and libraries solved under the old sums are refused instead
+/// of mixed with new solves. 1: band-limited coherent sums (litho/fft.h
+/// tier 4) — intensities move by ~1e-15, so calibrated thresholds and
+/// EPE statistics change in their last bits (output geometry did not
+/// change on any flow compared).
+inline constexpr std::int64_t kImagingEngineRevision = 1;
+
 /// Machine-readable FlowStats rendering (stable single-line JSON) for
 /// the bench harness and CI: cache/store counters, worst EPEs, per-tile
 /// simulation counts, wall_ms, and the embedded metrics snapshot.

@@ -7,6 +7,7 @@
 
 #include "trace/metrics.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace opckit::litho {
 
@@ -464,6 +465,182 @@ void SparseInverseBatch::inverse_field(const Complex* spectrum,
     }
   }
 }
+
+namespace {
+
+/// Signed frequency of bin k in a length-n transform — fft_freq's
+/// wrap-around convention in bins: [0, (n-1)/2] positive, the rest
+/// negative.
+long signed_bin(std::size_t k, std::size_t n) {
+  return k <= (n - 1) / 2 ? static_cast<long>(k)
+                          : static_cast<long>(k) - static_cast<long>(n);
+}
+
+/// Signed bin range [lo, hi] of one axis over the support, DC included.
+struct AxisExtent {
+  long lo = 0, hi = 0;
+};
+
+std::pair<AxisExtent, AxisExtent> support_extents(
+    std::size_t nx, std::size_t ny, std::span<const std::uint32_t> support) {
+  AxisExtent ex, ey;
+  for (const std::uint32_t idx : support) {
+    OPCKIT_CHECK_MSG(idx < nx * ny, "support index " << idx << " out of frame");
+    const long sx = signed_bin(idx % nx, nx);
+    const long sy = signed_bin(idx / nx, ny);
+    ex = {std::min(ex.lo, sx), std::max(ex.hi, sx)};
+    ey = {std::min(ey.lo, sy), std::max(ey.hi, sy)};
+  }
+  return {ex, ey};
+}
+
+std::size_t reduced_size(const AxisExtent& e, std::size_t n) {
+  const auto span = static_cast<std::size_t>(e.hi - e.lo);
+  return std::min(next_pow2(2 * span + 1), n);
+}
+
+/// Bin k of a length-n axis on the length-m grid: s -> s mod m. The
+/// identity when m == n.
+std::size_t remap_bin(std::size_t k, std::size_t n, std::size_t m) {
+  const long s = signed_bin(k, n);
+  return s >= 0 ? static_cast<std::size_t>(s)
+                : static_cast<std::size_t>(static_cast<long>(m) + s);
+}
+
+/// Per-axis dims of the band-limited grid: m = next_pow2(2e+1) capped
+/// at the frame size, e the axis's signed extent of support ∪ DC.
+std::pair<std::size_t, std::size_t> band_limited_dims(
+    std::size_t nx, std::size_t ny, std::span<const std::uint32_t> support) {
+  const auto [ex, ey] = support_extents(nx, ny, support);
+  return {reduced_size(ex, nx), reduced_size(ey, ny)};
+}
+
+}  // namespace
+
+BandLimitedGrid::BandLimitedGrid(const Fft2d& frame,
+                                 std::span<const std::uint32_t> support)
+    : frame_(frame),
+      grid_([&] {
+        const auto [mx, my] =
+            band_limited_dims(frame.nx(), frame.ny(), support);
+        return Fft2d(mx, my);
+      }()),
+      support_(support.begin(), support.end()) {
+  const auto [ex, ey] = support_extents(frame.nx(), frame.ny(), support);
+  x_lo_ = ex.lo;
+  x_hi_ = ex.hi;
+  y_lo_ = ey.lo;
+  y_hi_ = ey.hi;
+  mapped_ = remap(support_);
+}
+
+std::vector<std::uint32_t> BandLimitedGrid::remap(
+    std::span<const std::uint32_t> frame_support) const {
+  const std::size_t nx = frame_.nx(), ny = frame_.ny();
+  const std::size_t mx = grid_.nx(), my = grid_.ny();
+  std::vector<std::uint32_t> out;
+  out.reserve(frame_support.size());
+  for (const std::uint32_t idx : frame_support) {
+    OPCKIT_CHECK_MSG(idx < nx * ny, "support index " << idx << " out of frame");
+    const std::size_t kx = idx % nx, ky = idx / nx;
+    const long sx = signed_bin(kx, nx), sy = signed_bin(ky, ny);
+    OPCKIT_CHECK_MSG(sx >= x_lo_ && sx <= x_hi_ && sy >= y_lo_ && sy <= y_hi_,
+                     "bin " << idx << " lies outside the band-limited grid's "
+                            "support extent");
+    out.push_back(static_cast<std::uint32_t>(remap_bin(ky, ny, my) * mx +
+                                             remap_bin(kx, nx, mx)));
+  }
+  return out;
+}
+
+void BandLimitedGrid::intensity_sum(
+    const Complex* spectrum, std::size_t units, const Member& member,
+    const std::function<double(std::size_t)>& weight,
+    std::vector<double>& out) const {
+  const std::size_t m = grid_.nx() * grid_.ny();
+  // On a reduced grid, gather the spectrum's support bins into grid
+  // layout (the members read nothing else); otherwise the grid is the
+  // frame and the members read the frame spectrum directly.
+  std::vector<Complex> local;
+  const Complex* grid_spectrum = spectrum;
+  if (reduced()) {
+    local.assign(m, Complex{0.0, 0.0});
+    for (std::size_t j = 0; j < support_.size(); ++j) {
+      local[mapped_[j]] = spectrum[support_[j]];
+    }
+    grid_spectrum = local.data();
+  }
+  std::vector<double> sum(m, 0.0);
+  detail::weighted_intensity_sum(
+      units, m,
+      [&](std::size_t u, std::vector<double>& img) {
+        member(u, grid_spectrum, img);
+      },
+      weight, sum);
+  if (!reduced()) {
+    out = std::move(sum);
+    return;
+  }
+  trace::metrics().counter(trace::metric::kLithoBandLimitedImages).add();
+  upsample(sum, out);
+}
+
+void BandLimitedGrid::upsample(std::span<const double> sum,
+                               std::vector<double>& out) const {
+  const std::size_t nx = frame_.nx(), ny = frame_.ny();
+  const std::size_t mx = grid_.nx(), my = grid_.ny();
+  std::vector<Complex> small;
+  grid_.forward_real(sum, small);
+  // One factor, reduced pixels / frame pixels: the members' inverses
+  // normalized by 1/(mx·my) instead of 1/(nx·ny), which scales every
+  // |E|² by (nx·ny/(mx·my))², and interpolation scales the spectrum by
+  // nx·ny/(mx·my) before inverse_real divides by nx·ny. A ratio of
+  // powers of two, so the multiply is exact.
+  const double scale =
+      static_cast<double>(mx * my) / static_cast<double>(nx * ny);
+  // Bins kept per axis: all of an unreduced one; |k| < m/2 of a reduced
+  // one — its Nyquist bin m/2 is zero in exact arithmetic (2e+1 <= m).
+  const std::size_t kx_end = mx < nx ? (mx + 1) / 2 : nx / 2 + 1;
+  std::vector<Complex> wide(nx * ny, Complex{0.0, 0.0});
+  for (std::size_t ky = 0; ky < my; ++ky) {
+    const bool negative = ky > (my - 1) / 2;
+    if (negative && my < ny && ky == my / 2) continue;
+    const std::size_t fy = negative ? ky + (ny - my) : ky;
+    const Complex* src = small.data() + ky * mx;
+    Complex* dst = wide.data() + fy * nx;
+    for (std::size_t kx = 0; kx < kx_end; ++kx) dst[kx] = src[kx] * scale;
+  }
+  frame_.inverse_real(wide, out);
+}
+
+namespace detail {
+
+void weighted_intensity_sum(
+    std::size_t units, std::size_t n,
+    const std::function<void(std::size_t, std::vector<double>&)>& compute,
+    const std::function<double(std::size_t)>& weight,
+    std::vector<double>& acc) {
+  OPCKIT_CHECK(acc.size() == n);
+  // At most kChunk per-unit frames resident at once; accumulation runs
+  // in ascending unit order within and across chunks — the same order
+  // as an all-at-once reduction, so results are bit-identical at any
+  // thread count while peak memory stays O(kChunk·n).
+  constexpr std::size_t kChunk = 16;
+  std::vector<std::vector<double>> scratch(std::min(kChunk, units));
+  for (auto& buf : scratch) buf.resize(n);
+  for (std::size_t base = 0; base < units; base += kChunk) {
+    const std::size_t m = std::min(kChunk, units - base);
+    util::global_pool().parallel_for(
+        m, [&](std::size_t j) { compute(base + j, scratch[j]); });
+    for (std::size_t j = 0; j < m; ++j) {
+      const double w = weight(base + j);
+      const std::vector<double>& img = scratch[j];
+      for (std::size_t i = 0; i < n; ++i) acc[i] += w * img[i];
+    }
+  }
+}
+
+}  // namespace detail
 
 void fft_1d(std::vector<Complex>& data, bool inverse) {
   const std::size_t n = data.size();

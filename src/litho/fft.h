@@ -11,7 +11,7 @@
 /// kind) per process, every later transform — any tile, any OPC
 /// iteration, any flow — reuses it.
 ///
-/// Three transform tiers, fastest path last:
+/// Four transform tiers, fastest path last:
 ///
 ///  1. Complex 1-D/2-D (`FftPlan::transform`, `Fft2d::forward/inverse`)
 ///     — the drop-in replacement for the old scalar kernel. The
@@ -42,6 +42,20 @@
 ///     result is bit-identical to transform-then-normalize-then-|·|²
 ///     of the pre-plan engine (same operations, same order, zero rows
 ///     dropped exactly).
+///  4. Band-limited coherent sum (`BandLimitedGrid`) — every batch
+///     member's field lives on the support, whose signed frequency
+///     extent per axis is e bins, so each |E|² has its spectrum inside
+///     ±e and the weighted sum of them does too. A grid of
+///     m = next_pow2(2e+1) samples per axis (capped at the frame size)
+///     therefore holds that sum exactly: the support is remapped onto
+///     the m-grid (order preserved), every member runs its tier-3
+///     inverse there, the weighted sum is taken at m·m pixels, and one
+///     r2c → embed → c2r Fourier interpolation carries it to the frame.
+///     The embed drops only the reduced Nyquist bin, which is zero in
+///     exact arithmetic because 2e+1 ≤ m. Equivalent to the full-frame
+///     sum within rounding (~1e-15 on unit intensities); an axis that
+///     cannot shrink passes through unchanged, and with neither axis
+///     shrinking the result is the tier-3 sum, bit for bit.
 ///
 /// Sizes are powers of two. Convention: forward is unnormalized,
 /// inverse divides by N (1D) or Nx*Ny (2D), so ifft(fft(x)) == x; the
@@ -51,6 +65,7 @@
 #include <complex>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -299,6 +314,84 @@ class SparseInverseBatch {
   std::vector<std::uint32_t> compact_;    ///< scatter target per support bin
   std::vector<std::uint32_t> row_slot_;   ///< ky -> slot in rows_ (or npos)
 };
+
+/// Tier 4: the smallest grid that holds the intensity spectrum of
+/// fields confined to one support, plus the single Fourier
+/// interpolation that carries a sum computed there back to the frame.
+/// Per axis the grid has m = next_pow2(2e+1) samples, capped at the
+/// frame size, where e is the axis's signed bin extent (max minus min,
+/// bins at or above n/2 counting as negative) of the support together
+/// with DC. Including DC keeps the remap s -> s mod m order-preserving
+/// for any support; physical pupil supports contain DC anyway.
+/// Both imaging engines take their weighted coherent sum through
+/// intensity_sum — SOCS with one batch shared by all kernels, Abbe
+/// with one batch per source point, both remapped onto this grid.
+/// Immutable after construction; thread-safe.
+class BandLimitedGrid {
+ public:
+  /// \p frame: the frame's transform engine; \p support: ascending
+  /// flat frame indices of every bin any member field may occupy.
+  BandLimitedGrid(const Fft2d& frame, std::span<const std::uint32_t> support);
+
+  /// Transform engine of the reduced grid (the frame's shape when no
+  /// axis shrinks).
+  const Fft2d& grid() const { return grid_; }
+  /// True when at least one axis is smaller than the frame's.
+  bool reduced() const {
+    return grid_.nx() != frame_.nx() || grid_.ny() != frame_.ny();
+  }
+
+  /// Map ascending flat frame indices inside the support's extent to
+  /// flat grid indices. Order-preserving, so the result is a valid
+  /// SparseInverseBatch support on grid().
+  std::vector<std::uint32_t> remap(
+      std::span<const std::uint32_t> frame_support) const;
+
+  /// Member u's |field|² on grid(): reads the spectrum in grid layout
+  /// (only the support's bins are valid) and overwrites every element
+  /// of the grid-sized output buffer.
+  using Member =
+      std::function<void(std::size_t, const Complex*, std::vector<double>&)>;
+
+  /// out = Σ_u weight(u)·member_u on the frame (out is resized to
+  /// nx*ny). \p spectrum is the frame spectrum in full layout. The
+  /// members are summed in ascending order at grid size through
+  /// detail::weighted_intensity_sum, then interpolated to the frame
+  /// once; without a reduced axis the sum is written as is.
+  void intensity_sum(const Complex* spectrum, std::size_t units,
+                     const Member& member,
+                     const std::function<double(std::size_t)>& weight,
+                     std::vector<double>& out) const;
+
+ private:
+  /// Fourier-interpolate a grid-sized band-limited image to the frame.
+  void upsample(std::span<const double> sum, std::vector<double>& out) const;
+
+  Fft2d frame_;
+  Fft2d grid_;
+  std::vector<std::uint32_t> support_;  ///< flat frame indices, ascending
+  std::vector<std::uint32_t> mapped_;   ///< support_ remapped onto grid_
+  long x_lo_ = 0, x_hi_ = 0;  ///< signed x-bin range of support ∪ DC
+  long y_lo_ = 0, y_hi_ = 0;  ///< signed y-bin range of support ∪ DC
+};
+
+namespace detail {
+
+/// Deterministic chunked reduction: acc[i] += Σ_u weight(u)·frame_u[i],
+/// where frame_u is produced by compute(u, out) into a caller-invisible
+/// scratch buffer of size \p n (compute must overwrite every element).
+/// Units are computed in parallel (util::global_pool) but accumulated
+/// serially in ascending unit order, chunked so at most a fixed small
+/// number of frames is resident at once — O(chunk·n) peak instead of
+/// the O(units·n) of materialize-everything, with a summation order
+/// identical to it, so results are bit-identical at any thread count.
+void weighted_intensity_sum(
+    std::size_t units, std::size_t n,
+    const std::function<void(std::size_t, std::vector<double>&)>& compute,
+    const std::function<double(std::size_t)>& weight,
+    std::vector<double>& acc);
+
+}  // namespace detail
 
 /// In-place 1D FFT of length data.size() (must be a power of two).
 /// \p inverse selects the inverse transform (with 1/N normalization).

@@ -6,7 +6,6 @@
 
 #include "litho/fft.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace opckit::litho {
 
@@ -107,35 +106,6 @@ Complex pupil_transmission(const OpticalSystem& sys, double fx, double fy,
   return Complex{std::cos(phase), std::sin(phase)};
 }
 
-namespace detail {
-
-void weighted_intensity_sum(
-    std::size_t units, std::size_t n,
-    const std::function<void(std::size_t, std::vector<double>&)>& compute,
-    const std::function<double(std::size_t)>& weight,
-    std::vector<double>& acc) {
-  OPCKIT_CHECK(acc.size() == n);
-  // At most kChunk per-unit frames resident at once; accumulation runs
-  // in ascending unit order within and across chunks — the same order
-  // as an all-at-once reduction, so results are bit-identical at any
-  // thread count while peak memory stays O(kChunk·n).
-  constexpr std::size_t kChunk = 16;
-  std::vector<std::vector<double>> scratch(std::min(kChunk, units));
-  for (auto& buf : scratch) buf.resize(n);
-  for (std::size_t base = 0; base < units; base += kChunk) {
-    const std::size_t m = std::min(kChunk, units - base);
-    util::global_pool().parallel_for(
-        m, [&](std::size_t j) { compute(base + j, scratch[j]); });
-    for (std::size_t j = 0; j < m; ++j) {
-      const double w = weight(base + j);
-      const std::vector<double>& img = scratch[j];
-      for (std::size_t i = 0; i < n; ++i) acc[i] += w * img[i];
-    }
-  }
-}
-
-}  // namespace detail
-
 AbbeImager::AbbeImager(const OpticalSystem& sys, const Frame& frame)
     : sys_(sys),
       frame_(frame),
@@ -195,15 +165,25 @@ Image AbbeImager::aerial_image(const Image& mask, double defocus_nm,
     }
   }
 
-  // One coherent intensity per source point, reduced in fixed order by
-  // the chunked helper: deterministic regardless of thread count, and
-  // peak memory bounded by the chunk size instead of |S|.
-  Image intensity(frame_, 0.0);
-  detail::weighted_intensity_sum(
-      source_.size(), n,
-      [&](std::size_t si, std::vector<double>& out) {
-        const SparseInverseBatch batch(fft2_, supports[si]);
-        batch.inverse_mag2(spectrum.data(), pupils[si], out);
+  // Every source's field lives inside the union of the supports, so
+  // the sum runs on the union's band-limited grid: each coherent image
+  // is a batch over its own support remapped onto that grid, reduced
+  // in fixed order (deterministic at any thread count, peak memory
+  // bounded by the chunk size) and interpolated to the frame once.
+  std::vector<std::uint32_t> all;
+  for (const auto& sup : supports) {
+    all.insert(all.end(), sup.begin(), sup.end());
+  }
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  const BandLimitedGrid grid(fft2_, all);
+  Image intensity(frame_);
+  grid.intensity_sum(
+      spectrum.data(), source_.size(),
+      [&](std::size_t si, const Complex* grid_spectrum,
+          std::vector<double>& out) {
+        const SparseInverseBatch batch(grid.grid(), grid.remap(supports[si]));
+        batch.inverse_mag2(grid_spectrum, pupils[si], out);
       },
       [&](std::size_t si) { return source_[si].weight; },
       intensity.values());

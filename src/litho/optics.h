@@ -16,7 +16,6 @@
 /// field (all-transmitting mask) normalizes to intensity 1.0.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "geometry/rect.h"
@@ -115,24 +114,6 @@ std::vector<SourcePoint> sample_source(const OpticalSystem& sys);
 Complex pupil_transmission(const OpticalSystem& sys, double fx, double fy,
                            double defocus_nm);
 
-namespace detail {
-
-/// Deterministic chunked reduction: acc[i] += Σ_u weight(u)·frame_u[i],
-/// where frame_u is produced by compute(u, out) into a caller-invisible
-/// scratch buffer of size \p n (compute must overwrite every element).
-/// Units are computed in parallel (util::global_pool) but accumulated
-/// serially in ascending unit order, chunked so at most a fixed small
-/// number of frames is resident at once — O(chunk·n) peak instead of
-/// the O(units·n) of materialize-everything, with a summation order
-/// identical to it, so results are bit-identical at any thread count.
-void weighted_intensity_sum(
-    std::size_t units, std::size_t n,
-    const std::function<void(std::size_t, std::vector<double>&)>& compute,
-    const std::function<double(std::size_t)>& weight,
-    std::vector<double>& acc);
-
-}  // namespace detail
-
 /// Abbe imaging engine bound to a pixel frame. The frame's dimensions
 /// must be powers of two (the Simulator facade arranges this) and the
 /// physics assumes periodic boundary conditions — callers must pad their
@@ -151,7 +132,10 @@ class AbbeImager {
   /// bit-deterministic (fixed summation order). The mask spectrum goes
   /// through the planned r2c forward; each source point's coherent
   /// image runs as a sparse fused inverse over its shifted-pupil
-  /// support (rows without pupil bins are skipped exactly).
+  /// support (rows without pupil bins are skipped exactly) on the
+  /// band-limited grid of the union of those supports, and the
+  /// weighted sum is Fourier-interpolated to the frame once
+  /// (BandLimitedGrid::intensity_sum, the path SOCS shares).
   Image aerial_image(const Image& mask, double defocus_nm = 0.0,
                      const MaskModel& mask_model = {}) const;
 

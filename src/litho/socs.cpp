@@ -263,8 +263,10 @@ std::shared_ptr<const SocsKernelSet> KernelCache::get(
     trace::metrics().counter(trace::metric::kLithoSocsCacheHits).add();
     return it->second;
   }
-  auto set = std::make_shared<const SocsKernelSet>(
-      build_socs_kernels(sys, frame, defocus_nm, opts));
+  SocsKernelSet built = build_socs_kernels(sys, frame, defocus_nm, opts);
+  built.grid.emplace(Fft2d(frame.nx, frame.ny), built.support);
+  built.batch.emplace(built.grid->grid(), built.grid->remap(built.support));
+  auto set = std::make_shared<const SocsKernelSet>(std::move(built));
   ++stats_.sets_built;
   trace::metrics().counter(trace::metric::kLithoSocsKernelSetsBuilt).add();
   trace::metrics()
@@ -323,14 +325,14 @@ Image SocsImager::aerial_image(const Image& mask, double defocus_nm,
       KernelCache::instance().get(sys_, frame_, defocus_nm, mask_model, opts_);
 
   // All kernels share the set's support, so the whole Σ λ_k·|IFFT|²
-  // is one batch: one plan, one pruning structure, |kernels| fused
-  // sparse inverse transforms.
-  const SparseInverseBatch batch(fft2_, set->support);
-  Image intensity(frame_, 0.0);
-  detail::weighted_intensity_sum(
-      set->kernels.size(), n,
-      [&](std::size_t k, std::vector<double>& out) {
-        batch.inverse_mag2(spectrum.data(), set->kernels[k].value, out);
+  // is one batch on the support's band-limited grid: one plan, one
+  // pruning structure, |kernels| fused sparse inverse transforms.
+  Image intensity(frame_);
+  set->grid->intensity_sum(
+      spectrum.data(), set->kernels.size(),
+      [&](std::size_t k, const Complex* grid_spectrum,
+          std::vector<double>& out) {
+        set->batch->inverse_mag2(grid_spectrum, set->kernels[k].value, out);
       },
       [&](std::size_t k) { return set->kernels[k].weight; },
       intensity.values());

@@ -47,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -83,12 +84,17 @@ struct SocsKernel {
 /// All kernels share one support — the union of the shifted pupil
 /// supports — which is exactly what lets the imaging loop run as one
 /// SparseInverseBatch: one plan, one pruning structure, |kernels|
-/// same-size transforms.
+/// same-size transforms. That batch runs on the support's band-limited
+/// grid (fft.h tier 4); KernelCache builds grid and batch once beside
+/// the kernels, so no image rebuilds them (build_socs_kernels alone
+/// leaves them empty).
 struct SocsKernelSet {
   std::vector<SocsKernel> kernels;
   std::vector<std::uint32_t> support;  ///< flat frame indices (ky*nx+kx)
   double energy_captured = 0.0;   ///< Σ kept λ / trace(G), in [0, 1]
   std::size_t source_points = 0;  ///< |S| the set was compressed from
+  std::optional<BandLimitedGrid> grid;     ///< band-limited grid of support
+  std::optional<SparseInverseBatch> batch;  ///< support remapped onto grid
 };
 
 /// Build a kernel set from scratch (no cache). Exposed for tests; the
@@ -164,9 +170,10 @@ class SocsImager {
   /// Aerial image of \p mask (coverage image on the same frame) — same
   /// contract as AbbeImager::aerial_image, within ε in intensity.
   /// Multi-threaded over kernels; bit-deterministic (fixed reduction
-  /// order). The mask spectrum goes through the planned r2c forward
-  /// and the per-kernel IFFTs run as one SparseInverseBatch over the
-  /// set's shared support.
+  /// order). The mask spectrum goes through the planned r2c forward;
+  /// the per-kernel IFFTs run as the set's one SparseInverseBatch on
+  /// its band-limited grid, and the λ-weighted sum is Fourier-
+  /// interpolated to the frame once (BandLimitedGrid::intensity_sum).
   Image aerial_image(const Image& mask, double defocus_nm = 0.0,
                      const MaskModel& mask_model = {}) const;
 

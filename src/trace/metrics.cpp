@@ -56,13 +56,15 @@ constexpr std::array kMetricTable = {
     MetricInfo{metric::kLithoFftPlanBuildMs, MetricKind::kGauge,
                "wall-clock spent building FFT plans (tables + permutations)"},
     MetricInfo{metric::kLithoFftR2cTransforms, MetricKind::kCounter,
-               "real-to-complex 2D forward transforms (mask spectra, blur)"},
+               "real-to-complex 2D forwards (mask, blur, band-limited)"},
     MetricInfo{metric::kLithoFftC2rTransforms, MetricKind::kCounter,
-               "complex-to-real 2D inverse transforms (resist diffusion)"},
+               "complex-to-real 2D inverses (resist blur, band-limited)"},
     MetricInfo{metric::kLithoFftBatchedTransforms, MetricKind::kCounter,
                "fused sparse inverse + magnitude^2 transforms (imaging loop)"},
     MetricInfo{metric::kLithoFftRowsPruned, MetricKind::kCounter,
                "zero frequency rows skipped by batched sparse inverses"},
+    MetricInfo{metric::kLithoBandLimitedImages, MetricKind::kCounter,
+               "aerial images summed on a reduced band-limited grid"},
     MetricInfo{metric::kLithoRasterCells, MetricKind::kCounter,
                "pixel cells written by the mask rasterizer"},
     MetricInfo{metric::kLithoSocsKernelSetsBuilt, MetricKind::kCounter,

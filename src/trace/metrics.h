@@ -90,6 +90,8 @@ inline constexpr const char* kLithoFftC2rTransforms =
 inline constexpr const char* kLithoFftBatchedTransforms =
     "litho.fft_batched_transforms";
 inline constexpr const char* kLithoFftRowsPruned = "litho.fft_rows_pruned";
+inline constexpr const char* kLithoBandLimitedImages =
+    "litho.band_limited_images";
 inline constexpr const char* kLithoRasterCells = "litho.raster_cells";
 inline constexpr const char* kLithoSocsKernelSetsBuilt =
     "litho.socs_kernel_sets_built";

@@ -1,9 +1,11 @@
 /// Property suite for the planned FFT engine: bit-exact parity of the
 /// planned complex path against the historic recurrence kernel, r2c/c2r
 /// round trips and Hermitian invariants over random sizes and seeds,
-/// SparseInverseBatch parity against the dense inverse, and PlanCache
-/// reuse accounting under concurrent requests (the TSan target for the
-/// jobs=8 flow's shared-plan access pattern).
+/// SparseInverseBatch parity against the dense inverse, the
+/// band-limited grid (dims, remap, parity with the full-frame sum), and
+/// PlanCache reuse accounting under concurrent requests (the TSan
+/// target for the jobs=8 flow's shared-plan access pattern).
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <thread>
@@ -14,6 +16,7 @@
 #include "litho/fft.h"
 #include "litho/image.h"
 #include "litho/resist.h"
+#include "trace/metrics.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -210,7 +213,7 @@ TEST(Fft2dPlan, ComplexRoundTripAndLegacyParity) {
 }
 
 TEST(Fft2dPlan, RealForwardIsHermitianAndMatchesComplex) {
-  for (const auto [nx, ny] :
+  for (const auto& [nx, ny] :
        {std::pair<std::size_t, std::size_t>{16, 16}, {32, 8}, {4, 64}}) {
     const std::vector<double> img = random_real(nx * ny, 31);
     const Fft2d plan(nx, ny);
@@ -340,6 +343,193 @@ TEST(SparseBatch, InverseFieldMagnitudeMatchesInverseMag2) {
     EXPECT_EQ(field[i].real(), dense[i].real()) << "pixel " << i;
     EXPECT_EQ(field[i].imag(), dense[i].imag()) << "pixel " << i;
   }
+}
+
+/// Ascending flat indices of the bins within \p radius bins of DC —
+/// a pupil-like support, wrap-around indexing.
+std::vector<std::uint32_t> disk_support(std::size_t nx, std::size_t ny,
+                                        double radius) {
+  std::vector<std::uint32_t> support;
+  for (std::size_t ky = 0; ky < ny; ++ky) {
+    const double by = fft_freq(ky, ny) * static_cast<double>(ny);
+    for (std::size_t kx = 0; kx < nx; ++kx) {
+      const double bx = fft_freq(kx, nx) * static_cast<double>(nx);
+      if (bx * bx + by * by <= radius * radius) {
+        support.push_back(static_cast<std::uint32_t>(ky * nx + kx));
+      }
+    }
+  }
+  return support;
+}
+
+/// A weighted coherent sum over \p members batches, each member a
+/// subset of \p support (every second member drops every third bin)
+/// with random factors; the spectrum is scaled so intensities are O(1).
+struct CoherentSum {
+  std::vector<Complex> spectrum;
+  std::vector<std::vector<std::uint32_t>> supports;
+  std::vector<std::vector<Complex>> factors;
+  std::vector<double> weights;
+
+  CoherentSum(std::size_t nx, std::size_t ny,
+              const std::vector<std::uint32_t>& support, std::size_t members,
+              std::uint64_t seed)
+      : spectrum(random_complex(nx * ny, seed)) {
+    const double gain = static_cast<double>(nx * ny) /
+                        std::sqrt(static_cast<double>(support.size()));
+    for (auto& v : spectrum) v *= gain;
+    util::Rng rng(seed + 1);
+    for (std::size_t u = 0; u < members; ++u) {
+      std::vector<std::uint32_t> sup;
+      for (std::size_t j = 0; j < support.size(); ++j) {
+        if (u % 2 == 1 && j % 3 == 0) continue;
+        sup.push_back(support[j]);
+      }
+      factors.push_back(random_complex(sup.size(), seed + 10 + u));
+      supports.push_back(std::move(sup));
+      weights.push_back(rng.uniform(0.1, 1.0));
+    }
+  }
+
+  /// The full-frame sum: every member's batch on the frame itself.
+  std::vector<double> full_frame(const Fft2d& frame) const {
+    std::vector<double> out(frame.nx() * frame.ny(), 0.0);
+    detail::weighted_intensity_sum(
+        supports.size(), out.size(),
+        [&](std::size_t u, std::vector<double>& img) {
+          SparseInverseBatch(frame, supports[u])
+              .inverse_mag2(spectrum.data(), factors[u], img);
+        },
+        [&](std::size_t u) { return weights[u]; }, out);
+    return out;
+  }
+
+  /// The same sum through the band-limited grid of \p support.
+  std::vector<double> band_limited(const BandLimitedGrid& grid) const {
+    std::vector<double> out;
+    grid.intensity_sum(
+        spectrum.data(), supports.size(),
+        [&](std::size_t u, const Complex* grid_spectrum,
+            std::vector<double>& img) {
+          SparseInverseBatch(grid.grid(), grid.remap(supports[u]))
+              .inverse_mag2(grid_spectrum, factors[u], img);
+        },
+        [&](std::size_t u) { return weights[u]; }, out);
+    return out;
+  }
+};
+
+double max_abs_diff(const std::vector<double>& a,
+                    const std::vector<double>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  double m = 0.0;
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    m = std::max(m, std::abs(a[i] - b[i]));
+  }
+  return m;
+}
+
+/// Dims of the band-limited grid of \p support in an nx*ny frame.
+std::pair<std::size_t, std::size_t> grid_dims(
+    std::size_t nx, std::size_t ny, const std::vector<std::uint32_t>& support) {
+  const BandLimitedGrid grid(Fft2d(nx, ny), support);
+  return {grid.grid().nx(), grid.grid().ny()};
+}
+
+TEST(BandLimited, DimsFollowTheSupportExtent) {
+  using Dims = std::pair<std::size_t, std::size_t>;
+  // A ±9-bin disk: e = 18, 2e+1 = 37 -> 64 on both axes of a 256 frame.
+  EXPECT_EQ(grid_dims(256, 256, disk_support(256, 256, 9.0)), Dims(64, 64));
+  // Capped at the frame: on a 32-row frame the y axis cannot shrink.
+  EXPECT_EQ(grid_dims(256, 32, disk_support(256, 32, 9.0)), Dims(64, 32));
+  // The extent counts DC: bins 3..5 on x span 0..5, so 2*5+1 = 11 -> 16.
+  EXPECT_EQ(grid_dims(64, 64, {3, 4, 5}), Dims(16, 1));
+  // Negative bins count by magnitude: bin 60 of 64 is -4, so 2*4+1 -> 16.
+  EXPECT_EQ(grid_dims(64, 64, {0, 60}), Dims(16, 1));
+}
+
+TEST(BandLimited, RemapPreservesOrderAndRejectsBinsOutsideTheExtent) {
+  const std::size_t nx = 128, ny = 64;
+  const auto disk = disk_support(nx, ny, 6.0);
+  const BandLimitedGrid grid(Fft2d(nx, ny), disk);
+  EXPECT_TRUE(grid.reduced());
+  const std::size_t mx = grid.grid().nx(), my = grid.grid().ny();
+  EXPECT_EQ(mx, 32u);
+  EXPECT_EQ(my, 32u);
+  const std::vector<std::uint32_t> mapped = grid.remap(disk);
+  ASSERT_EQ(mapped.size(), disk.size());
+  for (std::size_t j = 0; j < mapped.size(); ++j) {
+    EXPECT_LT(mapped[j], mx * my);
+    if (j > 0) {
+      EXPECT_LT(mapped[j - 1], mapped[j]) << "order lost at " << j;
+    }
+    // Same signed bins on both grids.
+    EXPECT_EQ(fft_freq(disk[j] % nx, nx) * static_cast<double>(nx),
+              fft_freq(mapped[j] % mx, mx) * static_cast<double>(mx));
+    EXPECT_EQ(fft_freq(disk[j] / nx, ny) * static_cast<double>(ny),
+              fft_freq(mapped[j] / mx, my) * static_cast<double>(my));
+  }
+  // Bin (20, 0) lies outside the disk's ±6 extent: no silent alias.
+  const std::vector<std::uint32_t> outside = {20};
+  EXPECT_THROW(grid.remap(outside), util::CheckError);
+}
+
+TEST(BandLimited, WideDiskFrameIsNotReducedAndBitExact) {
+  // The 32x32 wide disk of SparseBatch.MatchesDenseInverseBitExact
+  // (|f|² <= 0.1 cycles², about ±10 bins) needs 2e+1 > 32: no axis can
+  // shrink, so the band-limited path must be today's sum bit for bit.
+  const std::size_t nx = 32, ny = 32;
+  std::vector<std::uint32_t> support;
+  for (std::size_t ky = 0; ky < ny; ++ky) {
+    const double fy = fft_freq(ky, ny);
+    for (std::size_t kx = 0; kx < nx; ++kx) {
+      const double fx = fft_freq(kx, nx);
+      if (fx * fx + fy * fy <= 0.1) {
+        support.push_back(static_cast<std::uint32_t>(ky * nx + kx));
+      }
+    }
+  }
+  const Fft2d frame(nx, ny);
+  const BandLimitedGrid grid(frame, support);
+  EXPECT_FALSE(grid.reduced());
+  EXPECT_EQ(grid.remap(support), support);
+  const CoherentSum sum(nx, ny, support, 20, 404);
+  EXPECT_EQ(sum.band_limited(grid), sum.full_frame(frame));
+}
+
+TEST(BandLimited, MatchesFullFrameSumOnReducedGrids) {
+  // Square, non-square both ways, and a frame where only x shrinks.
+  struct Shape { std::size_t nx, ny; double radius; };
+  for (const Shape s : {Shape{256, 256, 9.0}, Shape{256, 128, 9.0},
+                        Shape{64, 128, 5.0}, Shape{256, 32, 9.0}}) {
+    const auto support = disk_support(s.nx, s.ny, s.radius);
+    const Fft2d frame(s.nx, s.ny);
+    const BandLimitedGrid grid(frame, support);
+    ASSERT_TRUE(grid.reduced()) << s.nx << "x" << s.ny;
+    const CoherentSum sum(s.nx, s.ny, support, 18, s.nx + s.ny);
+    const std::vector<double> want = sum.full_frame(frame);
+    const double peak = *std::max_element(want.begin(), want.end());
+    ASSERT_GT(peak, 0.1);
+    EXPECT_LE(max_abs_diff(sum.band_limited(grid), want), 1e-12 * peak)
+        << s.nx << "x" << s.ny;
+  }
+}
+
+TEST(BandLimited, CountsOnlyReducedImages) {
+  const auto count = [] {
+    return trace::metrics()
+        .counter(trace::metric::kLithoBandLimitedImages)
+        .value();
+  };
+  const auto disk = disk_support(64, 64, 5.0);
+  const CoherentSum sum(64, 64, disk, 3, 9);
+  const std::uint64_t before = count();
+  sum.band_limited(BandLimitedGrid(Fft2d(64, 64), disk));
+  EXPECT_EQ(count(), before + 1);
+  const auto wide = disk_support(16, 16, 5.0);
+  const CoherentSum wide_sum(16, 16, wide, 3, 9);
+  wide_sum.band_limited(BandLimitedGrid(Fft2d(16, 16), wide));
+  EXPECT_EQ(count(), before + 1);
 }
 
 /// Dense-complex reference blur: full forward, transfer applied to

@@ -1,7 +1,8 @@
 /// SOCS kernel-imaging suite: Abbe-vs-SOCS aerial parity across process
 /// corners, relative-eigenvalue truncation and dense-source
-/// compression, KernelCache reuse, and the determinism of both
-/// engines' chunked reductions.
+/// compression, KernelCache reuse, the determinism of both engines'
+/// chunked reductions, and both engines' band-limited sums against the
+/// full-frame sums they replace.
 ///
 /// Labelled `socs` (tests/CMakeLists.txt) so tools/ci.sh can gate the
 /// ASan and TSan jobs on this suite explicitly.
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "core/flow.h"
 #include "core/model.h"
@@ -285,6 +287,201 @@ TEST(Socs, ModelOpcEpeMatchesAbbeWithinHalfNanometer) {
               rs.final_iteration().max_abs_epe_nm, 0.5);
 }
 
+/// Mask spectrum exactly as both engines form it: coverage ->
+/// transmission -> planned r2c forward.
+std::vector<Complex> mask_spectrum(const Image& mask, const MaskModel& mm) {
+  const Frame& f = mask.frame();
+  const double t_bg = mm.background_amplitude();
+  std::vector<double> trans(mask.values().size());
+  for (std::size_t i = 0; i < trans.size(); ++i) {
+    const double c = mask.values()[i];
+    trans[i] = c + (1.0 - c) * t_bg;
+  }
+  std::vector<Complex> spectrum;
+  Fft2d(f.nx, f.ny).forward_real(trans, spectrum);
+  return spectrum;
+}
+
+/// The full-frame SOCS sum the band-limited grid replaces: the cached
+/// set's kernels through one frame-sized batch.
+Image socs_full_frame(const OpticalSystem& sys, const Image& mask,
+                      double defocus_nm, const MaskModel& mm, double eps) {
+  const Frame& f = mask.frame();
+  const auto set =
+      KernelCache::instance().get(sys, f, defocus_nm, mm, SocsOptions{eps});
+  const std::vector<Complex> spectrum = mask_spectrum(mask, mm);
+  const SparseInverseBatch batch(Fft2d(f.nx, f.ny), set->support);
+  Image out(f, 0.0);
+  detail::weighted_intensity_sum(
+      set->kernels.size(), out.values().size(),
+      [&](std::size_t k, std::vector<double>& img) {
+        batch.inverse_mag2(spectrum.data(), set->kernels[k].value, img);
+      },
+      [&](std::size_t k) { return set->kernels[k].weight; }, out.values());
+  return out;
+}
+
+/// The full-frame Abbe sum: one frame-sized batch per source point over
+/// its shifted-pupil support.
+Image abbe_full_frame(const OpticalSystem& sys, const Image& mask,
+                      double defocus_nm, const MaskModel& mm) {
+  const Frame& f = mask.frame();
+  const std::vector<Complex> spectrum = mask_spectrum(mask, mm);
+  const std::vector<SourcePoint> source = sample_source(sys);
+  const Fft2d fft(f.nx, f.ny);
+  Image out(f, 0.0);
+  detail::weighted_intensity_sum(
+      source.size(), out.values().size(),
+      [&](std::size_t s, std::vector<double>& img) {
+        std::vector<std::uint32_t> support;
+        std::vector<Complex> pupil;
+        for (std::size_t ky = 0; ky < f.ny; ++ky) {
+          const double fy = fft_freq(ky, f.ny) / f.pixel_nm + source[s].fy;
+          for (std::size_t kx = 0; kx < f.nx; ++kx) {
+            const double fx = fft_freq(kx, f.nx) / f.pixel_nm + source[s].fx;
+            const Complex t = pupil_transmission(sys, fx, fy, defocus_nm);
+            if (t == Complex{0.0, 0.0}) continue;
+            support.push_back(static_cast<std::uint32_t>(ky * f.nx + kx));
+            pupil.push_back(t);
+          }
+        }
+        SparseInverseBatch(fft, support)
+            .inverse_mag2(spectrum.data(), pupil, img);
+      },
+      [&](std::size_t s) { return source[s].weight; }, out.values());
+  return out;
+}
+
+std::uint64_t band_limited_images() {
+  return trace::metrics()
+      .counter(trace::metric::kLithoBandLimitedImages)
+      .value();
+}
+
+// The production case: a grid-21 annular source on a 256² frame puts
+// every kernel on a ±10-bin support, so the sum runs on 64x64 and must
+// still match the full-frame sum to rounding.
+TEST(BandLimitedImaging, SocsGrid21AnnularRunsOn64GridAndMatchesFullFrame) {
+  const Frame frame = test_frame(256);
+  OpticalSystem sys = test_optics();
+  sys.source.grid = 21;
+  KernelCache::instance().clear();
+  const auto set =
+      KernelCache::instance().get(sys, frame, 0.0, {}, SocsOptions{1e-3});
+  ASSERT_TRUE(set->grid.has_value());
+  EXPECT_EQ(set->grid->grid().nx(), 64u);
+  EXPECT_EQ(set->grid->grid().ny(), 64u);
+
+  const Image mask = test_mask(frame);
+  const SocsImager socs(sys, frame, SocsOptions{1e-3});
+  const std::uint64_t before = band_limited_images();
+  const Image img = socs.aerial_image(mask);
+  EXPECT_EQ(band_limited_images(), before + 1);
+  EXPECT_LE(max_abs_diff(img, socs_full_frame(sys, mask, 0.0, {}, 1e-3)),
+            1e-12);
+}
+
+struct BandCase {
+  std::string name;
+  OpticalSystem sys;
+  Frame frame;
+  double defocus_nm = 0.0;
+  MaskModel mask;
+};
+
+/// Grid-5 cases: the process corners above (defocus, aberrations,
+/// att-PSM, dipole) plus a non-square 256x128 frame.
+std::vector<BandCase> band_cases() {
+  std::vector<BandCase> cases;
+  for (const ProcessCorner& c : process_corners()) {
+    cases.push_back({c.name, c.sys, test_frame(), c.defocus_nm, c.mask});
+  }
+  Frame wide = test_frame(256);
+  wide.ny = 128;
+  cases.push_back({"non_square_256x128", test_optics(), wide, 0.0, {}});
+  BandCase psm{"non_square_psm_defocus", test_optics(), wide, 90.0, {}};
+  psm.mask.type = MaskType::kAttenuatedPsm;
+  cases.push_back(psm);
+  return cases;
+}
+
+TEST(BandLimitedImaging, SocsMatchesFullFrameSumAcrossCorners) {
+  for (const BandCase& c : band_cases()) {
+    KernelCache::instance().clear();
+    const Image mask = test_mask(c.frame);
+    const SocsImager socs(c.sys, c.frame, SocsOptions{1e-4});
+    const std::uint64_t before = band_limited_images();
+    const Image img = socs.aerial_image(mask, c.defocus_nm, c.mask);
+    EXPECT_EQ(band_limited_images(), before + 1) << c.name;
+    const Image ref =
+        socs_full_frame(c.sys, mask, c.defocus_nm, c.mask, 1e-4);
+    EXPECT_LE(max_abs_diff(img, ref), 1e-12) << c.name;
+  }
+}
+
+TEST(BandLimitedImaging, AbbeMatchesFullFrameSumAcrossCorners) {
+  for (const BandCase& c : band_cases()) {
+    const Image mask = test_mask(c.frame);
+    const AbbeImager abbe(c.sys, c.frame);
+    const std::uint64_t before = band_limited_images();
+    const Image img = abbe.aerial_image(mask, c.defocus_nm, c.mask);
+    EXPECT_EQ(band_limited_images(), before + 1) << c.name;
+    const Image ref = abbe_full_frame(c.sys, mask, c.defocus_nm, c.mask);
+    EXPECT_LE(max_abs_diff(img, ref), 1e-12) << c.name;
+  }
+}
+
+TEST(BandLimitedImaging, ClearFieldStaysOneAndDarkFieldStaysZero) {
+  const Frame frame = test_frame();
+  const OpticalSystem sys = test_optics();
+  KernelCache::instance().clear();
+  const AbbeImager abbe(sys, frame);
+  const SocsImager socs(sys, frame, SocsOptions{1e-4});
+  const Image clear(frame, 1.0), dark(frame, 0.0);
+
+  // Abbe is exact: a clear field images to 1 everywhere. SOCS carries
+  // its truncation error, so it must equal its own full-frame sum.
+  const Image abbe_clear = abbe.aerial_image(clear);
+  for (double v : abbe_clear.values()) EXPECT_NEAR(v, 1.0, 1e-12);
+  EXPECT_LE(max_abs_diff(socs.aerial_image(clear),
+                         socs_full_frame(sys, clear, 0.0, {}, 1e-4)),
+            1e-12);
+  // A dark binary mask has an all-zero spectrum: exactly 0, no
+  // interpolation noise.
+  const Image abbe_dark = abbe.aerial_image(dark);
+  const Image socs_dark = socs.aerial_image(dark);
+  for (double v : abbe_dark.values()) EXPECT_EQ(v, 0.0);
+  for (double v : socs_dark.values()) EXPECT_EQ(v, 0.0);
+}
+
+TEST(BandLimitedImaging, BothEnginesDeterministicAcrossThreadCounts) {
+  Frame frame = test_frame(256);
+  frame.ny = 128;
+  OpticalSystem sys = test_optics();
+  sys.source.grid = 7;  // > one reduction chunk of source points
+  const Image mask = test_mask(frame);
+  KernelCache::instance().clear();
+  const AbbeImager abbe(sys, frame);
+  const SocsImager socs(sys, frame);
+  const std::uint64_t before = band_limited_images();
+  const Image abbe_ref = abbe.aerial_image(mask, 60.0);
+  const Image socs_ref = socs.aerial_image(mask, 60.0);
+  EXPECT_EQ(band_limited_images(), before + 2);
+  for (std::size_t workers : {1u, 2u, 8u}) {
+    Image a(frame), s(frame);
+    util::ThreadPool pool(workers);
+    pool.parallel_for(2, [&](std::size_t i) {
+      if (i == 0) {
+        a = abbe.aerial_image(mask, 60.0);
+      } else {
+        s = socs.aerial_image(mask, 60.0);
+      }
+    });
+    EXPECT_EQ(a.values(), abbe_ref.values()) << "workers=" << workers;
+    EXPECT_EQ(s.values(), socs_ref.values()) << "workers=" << workers;
+  }
+}
+
 }  // namespace
 }  // namespace opckit::litho
 
@@ -351,6 +548,21 @@ TEST(SocsFlow, FingerprintChangesIffImagingKnobsChange) {
   FlowSpec jobs = base;
   jobs.jobs = 8;
   EXPECT_EQ(flow_fingerprint(jobs, "flat"), fp);
+}
+
+// The band-limited sums move intensities by ~1e-15 (calibrated
+// thresholds and EPE statistics change in their last bits), so the
+// imaging-engine revision is mixed into the fingerprint: a default spec
+// no longer hashes to its pre-revision value (pinned from the builds
+// before the band-limited grid), and stores and libraries written by
+// those builds are refused instead of mixed with new solves.
+TEST(SocsFlow, FingerprintChangesWithImagingEngineRevision) {
+  EXPECT_EQ(kImagingEngineRevision, 1);
+  const FlowSpec base;
+  EXPECT_NE(flow_fingerprint(base, "flat"), 0x74ce46152305fb70u);
+  EXPECT_NE(flow_fingerprint(base, "cell"), 0x94a06599f816c461u);
+  EXPECT_EQ(flow_fingerprint(base, "flat"), 0x9bf7c13a66f31391u);
+  EXPECT_EQ(flow_fingerprint(base, "cell"), 0xd5aea2dca5531060u);
 }
 
 }  // namespace

@@ -4,12 +4,13 @@
 #
 # Usage:
 #   tools/ci.sh            # release + sanitize + lint (the default gate)
-#   tools/ci.sh all        # everything, including tsan and tidy
+#   tools/ci.sh all        # everything, including tsan, tidy and perf
 #   tools/ci.sh release    # Release build + ctest
 #   tools/ci.sh sanitize   # ASan+UBSan build + ctest
 #   tools/ci.sh tsan       # TSan build + thread-pool tests only
 #   tools/ci.sh tidy       # clang-tidy over src/ and tools/ (skips if absent)
 #   tools/ci.sh lint       # opckit lint on generated example layouts
+#   tools/ci.sh perf       # perfbench: every workload once (in `all` only)
 #
 # Build trees live under build-ci-<job> so CI never disturbs ./build.
 set -euo pipefail
@@ -209,10 +210,26 @@ job_lint() {
   echo "ci: lint clean (docs/LINT_CODES.md, docs/METRICS.md, docs/PERF.md in sync)"
 }
 
+job_perf() {
+  # One short run of each benchmark workload (perfbench/run.py). A run
+  # exits non-zero on any failed correctness check — output byte
+  # identity across jobs, the mask_deck_180 signoff gate, no kernel set
+  # or FFT plan built inside the timed jobs — so the exit status is the
+  # gate; the timings are not compared here.
+  log "perfbench: every workload once"
+  local workload
+  for workload in chip_socs ilt_escalate daemon_reuse; do
+    CARGO_TARGET_DIR=build-ci-perf python3 perfbench/run.py \
+      --workload "${workload}" --seed 1 --seconds 3 --trace 0 > /dev/null
+  done
+}
+
 main() {
   local jobs=("${@:-}")
   if [[ -z "${jobs[0]:-}" ]]; then jobs=(release sanitize lint); fi
-  if [[ "${jobs[0]}" == all ]]; then jobs=(release sanitize tsan tidy lint); fi
+  if [[ "${jobs[0]}" == all ]]; then
+    jobs=(release sanitize tsan tidy lint perf)
+  fi
   for j in "${jobs[@]}"; do "job_${j}"; done
   log "all jobs passed"
 }
