@@ -72,7 +72,7 @@ CorrectionCache::Resolution CorrectionCache::resolve(const Key& key) {
     bool mismatch = false;
     std::size_t symmetry_match = SIZE_MAX;
     for (std::size_t idx : bucket->second) {
-      const Entry& e = entries_[idx];
+      const store::TileRecord& e = entries_[idx].tile;
       if (e.window_rects != key.window.rects ||
           e.own_rects != key.own_canonical || e.frame != key.frame) {
         // Same canonical hash, different geometry (collision), a
@@ -115,11 +115,11 @@ void CorrectionCache::store(std::size_t entry, const Key& key,
                             const std::vector<Polygon>& corrected) {
   OPCKIT_CHECK(entry < entries_.size());
   Entry& e = entries_[entry];
-  OPCKIT_DCHECK(e.window_rects == key.window.rects);
+  OPCKIT_DCHECK(e.tile.window_rects == key.window.rects);
   const Transform t = to_canonical(key);
-  e.solution.clear();
-  e.solution.reserve(corrected.size());
-  for (const Polygon& p : corrected) e.solution.push_back(t(p));
+  e.tile.solution.clear();
+  e.tile.solution.reserve(corrected.size());
+  for (const Polygon& p : corrected) e.tile.solution.push_back(t(p));
   e.solved = true;
 }
 
@@ -130,48 +130,35 @@ std::vector<Polygon> CorrectionCache::fetch(std::size_t entry,
   OPCKIT_CHECK_MSG(e.solved, "fetch before the representative stored");
   const Transform t = to_canonical(key).inverted();
   std::vector<Polygon> out;
-  out.reserve(e.solution.size());
-  for (const Polygon& p : e.solution) out.push_back(t(p));
+  out.reserve(e.tile.solution.size());
+  for (const Polygon& p : e.tile.solution) out.push_back(t(p));
   return out;
 }
 
 store::TileRecord CorrectionCache::export_entry(std::size_t entry) const {
   OPCKIT_CHECK(entry < entries_.size());
-  const Entry& e = entries_[entry];
-  OPCKIT_CHECK_MSG(e.solved, "export of an unsolved cache entry");
-  store::TileRecord rec;
-  rec.window_rects = e.window_rects;
-  rec.own_rects = e.own_rects;
-  rec.frame = e.frame;
-  rec.orientation = e.orientation;
-  rec.solution = e.solution;
-  return rec;
+  OPCKIT_CHECK_MSG(entries_[entry].solved,
+                   "export of an unsolved cache entry");
+  return entries_[entry].tile;
 }
 
 std::size_t CorrectionCache::import_entry(const store::TileRecord& record) {
-  Entry e;
-  e.window_rects = record.window_rects;
-  e.own_rects = record.own_rects;
-  e.frame = record.frame;
-  e.orientation = record.orientation;
-  e.solution = record.solution;
-  e.solved = true;
-  entries_.push_back(std::move(e));
-  const std::size_t idx = entries_.size() - 1;
-  by_hash_[pat::hash_rects(record.window_rects)].push_back(idx);
-  return idx;
+  return add({record, true}, pat::hash_rects(record.window_rects));
 }
 
 std::size_t CorrectionCache::reserve(const Key& key) {
   Entry e;
-  e.window_rects = key.window.rects;
-  e.own_rects = key.own_canonical;
-  e.frame = key.frame;
-  e.orientation = key.orientation;
+  e.tile.window_rects = key.window.rects;
+  e.tile.own_rects = key.own_canonical;
+  e.tile.frame = key.frame;
+  e.tile.orientation = key.orientation;
+  return add(std::move(e), key.window.hash);
+}
+
+std::size_t CorrectionCache::add(Entry e, std::uint64_t hash) {
   entries_.push_back(std::move(e));
-  const std::size_t idx = entries_.size() - 1;
-  by_hash_[key.window.hash].push_back(idx);
-  return idx;
+  by_hash_[hash].push_back(entries_.size() - 1);
+  return entries_.size() - 1;
 }
 
 }  // namespace opckit::opc

@@ -131,7 +131,8 @@ class CorrectionCache {
   std::size_t size() const { return entries_.size(); }
 
   /// Export a *solved* entry as a persistable record (canonical-frame
-  /// geometry and solution, verbatim). The record carries no layout
+  /// geometry and solution, verbatim — an entry solved this run carries
+  /// no warm-start seeds; the flow adds them). The record carries no layout
   /// coordinates, so it replays into any placement of the class.
   store::TileRecord export_entry(std::size_t entry) const;
 
@@ -150,18 +151,17 @@ class CorrectionCache {
   static geom::Transform canonical_transform(const Key& key);
 
  private:
+  /// A window class: its persistable record (the solution is empty
+  /// until the representative stores) and whether it was solved.
   struct Entry {
-    std::vector<geom::Rect> window_rects;  ///< canonical window geometry
-    std::vector<geom::Rect> own_rects;     ///< canonical ownership split
-    geom::Rect frame = geom::Rect::empty();///< canonical simulation frame
-    geom::Orientation orientation =        ///< representative's witness
-        geom::Orientation::kR0;
-    std::vector<geom::Polygon> solution;   ///< corrected own, canonical frame
+    store::TileRecord tile;
     bool solved = false;
   };
 
   /// Append a fresh entry for \p key and return its index.
   std::size_t reserve(const Key& key);
+  /// Append \p e under \p hash and return its index.
+  std::size_t add(Entry e, std::uint64_t hash);
 
   Policy policy_;
   CorrectionCacheStats stats_;

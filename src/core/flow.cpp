@@ -135,7 +135,7 @@ struct TileWork {
   /// layout-frame seeds (set in the serial resolve phase, read-only in
   /// the parallel solve phase).
   bool warm = false;
-  std::vector<pat::WarmSeed> seeds;
+  std::vector<store::WarmSeed> seeds;
   /// Pixel-ILT engine state (FlowSpec::engine kIlt/kEscalate): whether
   /// this tile's final geometry came from ILT, whether the model solver
   /// ran first and handed it over (kEscalate), and the measured EPE of
@@ -196,24 +196,23 @@ void solve_tile_engine(const FlowSpec& spec, const litho::SimSpec& sim,
 }
 
 /// Every reuse path of a flow run around the one correction cache it
-/// owns: in-memory preload and store resume (exact replay of earlier
-/// runs), the pattern library (exact replay, near-match warm starts and
-/// accumulation), the store/record/library sinks fed from the merge
-/// phase, and the fail_after_tiles fault injection (which works with or
-/// without a store — a crash is a crash). Used only from the flow's
-/// serial sections, so the TSan contract of the phases is untouched.
+/// owns: the in-memory library and the store resume (exact replay of
+/// earlier runs), the pattern-library file (exact replay, near-match
+/// warm starts and accumulation), the record destinations fed from the
+/// merge phase, and the fail_after_tiles fault injection (which works
+/// with or without a store — a crash is a crash). Used only from the
+/// flow's serial sections, so the TSan contract of the phases is
+/// untouched.
 class ReuseSession {
  public:
   ReuseSession(const FlowSpec& spec, std::string_view flow_kind,
                FlowStats& stats)
       : spec_(spec), cache_({spec.cache_symmetry}) {
     const std::pair<bool, const char*> hooks[] = {
-        {spec.preload != nullptr, "preload"},
+        {spec.library != nullptr, "library"},
         {!spec.store_path.empty(), "store_path"},
         {static_cast<bool>(spec.record_sink), "record_sink"},
         {!spec.library_path.empty(), "library_path"},
-        {spec.library != nullptr, "library"},
-        {static_cast<bool>(spec.library_sink), "library_sink"},
     };
     for (const auto& [set, name] : hooks) {
       if (set && !spec.cache) {
@@ -223,14 +222,14 @@ class ReuseSession {
             "solves are cache entries");
       }
     }
-    // In-memory preload (the daemon's shared library) imports first, so
-    // its entries win representative selection over file records — both
+    // The in-memory library (the daemon's shelf) imports first, so its
+    // entries win representative selection over file records — both
     // replay translation-exactly, so the choice cannot change output.
-    if (spec.preload) {
-      for (const store::TileRecord& rec : *spec.preload) {
-        cache_.import_entry(rec);
+    if (spec.library) {
+      for (std::size_t i = 0; i < spec.library->size(); ++i) {
+        cache_.import_entry(spec.library->record(i));
       }
-      stats.store_entries_loaded += spec.preload->size();
+      stats.store_entries_loaded += spec.library->size();
     }
     if (!spec.store_path.empty()) {
       const std::uint64_t fp = flow_fingerprint(spec, flow_kind);
@@ -242,22 +241,21 @@ class ReuseSession {
         }
         stats.store_entries_loaded += loaded.records.size();
         stats.store_tail_recovered = loaded.tail_recovered;
-        store_.emplace(store::ResultStore::append_to(
-            spec.store_path, loaded.valid_bytes, spec.store_sync));
-      } else {
         store_.emplace(
-            store::ResultStore::create(spec.store_path, fp, spec.store_sync));
+            store::ResultStore::append_to(spec.store_path, loaded.valid_bytes));
+      } else {
+        store_.emplace(store::ResultStore::create(spec.store_path, fp));
       }
     }
-    // Library imports follow the store/preload entries in every resolve
-    // bucket, so a pattern both hold replays as a store hit.
+    // Library imports follow the store/in-memory entries in every
+    // resolve bucket, so a pattern both hold replays as a store hit.
     preloaded_ = cache_.size();
     if (!spec.library_path.empty()) {
       lib_.emplace(pat::PatternLibrary::open(
           spec.library_path, flow_fingerprint(spec, flow_kind),
-          spec.store_sync));
+          /*sync_on_append=*/false));
       for (std::size_t i = 0; i < lib_->size(); ++i) {
-        cache_.import_entry(lib_->record(i).tile);
+        cache_.import_entry(lib_->record(i));
       }
       stats.library_entries_loaded += lib_->load_info().records_loaded;
       stats.library_tail_recovered = lib_->load_info().tail_recovered;
@@ -286,7 +284,7 @@ class ReuseSession {
     }
     if (spec_.library_budget <= 0.0) return;
     const pat::PatternLibrary* src = lib_ ? &*lib_ : spec_.library;
-    if (src == nullptr || src->size() == 0) return;
+    if (src == nullptr) return;
     const pat::PatternFeature query = pat::feature_of(t.key.window.rects);
     const std::optional<pat::NearMatch> near =
         src->nearest(query, spec_.library_budget);
@@ -300,7 +298,7 @@ class ReuseSession {
         CorrectionCache::canonical_transform(t.key).inverted();
     t.warm = true;
     t.seeds.reserve(src->record(near->index).seeds.size());
-    for (const pat::WarmSeed& s : src->record(near->index).seeds) {
+    for (const store::WarmSeed& s : src->record(near->index).seeds) {
       t.seeds.push_back({from_canonical(s.site), s.offset});
     }
     ++stats.library_near_hits;
@@ -314,27 +312,26 @@ class ReuseSession {
 
   /// Serial merge phase, once per merged tile in placement order (a
   /// replay's representative always merges first, so every store lands
-  /// before the fetch that needs it): cache a fresh solve and persist it
-  /// to the library (model solves only — ILT output carries no fragment
-  /// offsets to seed warm starts from), the store and the sinks; account
-  /// a replay of an earlier run's entry; fire the fault injection.
+  /// before the fetch that needs it): cache a fresh solve and send its
+  /// record — with seeds for model solves; ILT output carries no
+  /// fragment offsets to seed warm starts from — to the store, the
+  /// library file and the sink; account a replay of an earlier run's
+  /// entry; fire the fault injection.
   void merge(const TileWork& t, const std::vector<Polygon>& corrected,
              FlowStats& stats) {
     if (t.replay) {
       // Entries below preloaded_ came from the store file or the
-      // in-memory preload — either way, reuse from a previous run.
+      // in-memory library — either way, reuse from a previous run.
       if (t.res.entry < preloaded_) ++stats.store_hits;
     } else if (spec_.cache) {
       cache_.store(t.res.entry, t.key, corrected);
-      if (!t.ilt) merge_library(t, stats);
-      if (store_ || spec_.record_sink) {
-        const store::TileRecord rec = cache_.export_entry(t.res.entry);
-        if (store_) {
-          store_->append(rec);
-          ++stats.store_entries_appended;
-        }
-        if (spec_.record_sink) spec_.record_sink(rec);
+      if (t.warm && !t.ilt) {
+        stats.library_warm_iterations += t.result.history.size();
+        trace::metrics()
+            .counter(trace::metric::kPatLibraryWarmIterations)
+            .add(t.result.history.size());
       }
+      if (store_ || lib_ || spec_.record_sink) save(t, stats);
     }
     ++merged_;
     if (spec_.fail_after_tiles >= 0 &&
@@ -352,22 +349,20 @@ class ReuseSession {
   }
 
  private:
-  /// Persist a fresh model solve with its warm-start seeds.
-  void merge_library(const TileWork& t, FlowStats& stats) {
-    if (t.warm) {
-      stats.library_warm_iterations += t.result.history.size();
-      trace::metrics()
-          .counter(trace::metric::kPatLibraryWarmIterations)
-          .add(t.result.history.size());
+  /// Send a fresh solve's record to every attached destination.
+  void save(const TileWork& t, FlowStats& stats) {
+    store::TileRecord rec = cache_.export_entry(t.res.entry);
+    if (!t.ilt) {
+      const Transform to_canonical =
+          CorrectionCache::canonical_transform(t.key);
+      rec.seeds.reserve(t.result.seeds.size());
+      for (const store::WarmSeed& s : t.result.seeds) {
+        rec.seeds.push_back({to_canonical(s.site), s.offset});
+      }
     }
-    if (!lib_ && !spec_.library_sink) return;
-    pat::LibraryRecord rec;
-    rec.tile = cache_.export_entry(t.res.entry);
-    const Transform to_canonical =
-        CorrectionCache::canonical_transform(t.key);
-    rec.seeds.reserve(t.result.seeds.size());
-    for (const pat::WarmSeed& s : t.result.seeds) {
-      rec.seeds.push_back({to_canonical(s.site), s.offset});
+    if (store_) {
+      store_->append(rec);
+      ++stats.store_entries_appended;
     }
     if (lib_ && lib_->insert(rec)) {
       ++stats.library_entries_appended;
@@ -375,15 +370,16 @@ class ReuseSession {
           .counter(trace::metric::kPatLibraryRecordsAppended)
           .add();
     }
-    if (spec_.library_sink) spec_.library_sink(rec);
+    if (spec_.record_sink) spec_.record_sink(rec);
   }
 
   const FlowSpec& spec_;
   CorrectionCache cache_;
   std::optional<store::ResultStore> store_;
   std::optional<pat::PatternLibrary> lib_;
-  /// Cache entries below preloaded_ came from the preload or the store
-  /// file; those in [preloaded_, library_end_) from the library file.
+  /// Cache entries below preloaded_ came from the in-memory library or
+  /// the store file; those in [preloaded_, library_end_) from the
+  /// library file.
   std::size_t preloaded_ = 0;
   std::size_t library_end_ = 0;
   std::size_t merged_ = 0;
@@ -922,11 +918,10 @@ std::uint64_t flow_fingerprint(const FlowSpec& spec,
   mix_i(static_cast<std::int64_t>(s.imaging));
   mix_d(s.socs_epsilon);
   // Pattern-library warm starts move the solver's initial offsets, hence
-  // the corrected mask (within tolerance): the library identity and the
-  // near-match budget are output-affecting (appended fields; stores from
-  // pre-library builds hash differently by design).
-  mix_u64(spec.library_path.size());
-  for (char c : spec.library_path) mix_u64(static_cast<std::uint8_t>(c));
+  // the corrected mask (within tolerance): the near-match budget is
+  // output-affecting (appended field). The library's path is not — it
+  // names a file, not a setup — and its content is bound to this
+  // fingerprint by the file header.
   mix_d(spec.library_budget);
   // The correction engine and the pixel-ILT knobs select and shape the
   // solver, so they rewrite the output mask wholesale (appended fields;

@@ -53,17 +53,22 @@
 /// replay reproduces the fresh solve bit for bit, so enabling the cache
 /// does not change output geometry either — only the work done.
 ///
-/// The persistent correction store (FlowSpec::store_path, see
-/// store/result_store.h) makes that reuse durable: solved classes are
-/// streamed to disk from the serial merge phase and preloaded on resume,
-/// so a crashed run restarts from its last merged tile and an edited
-/// layout (ECO) re-solves only tiles whose halo neighborhood changed —
-/// both with output byte-identical to a from-scratch run.
+/// The record file (store/result_store.h) makes that reuse durable:
+/// solved classes are streamed to disk from the serial merge phase and
+/// preloaded on resume, so a crashed run restarts from its last merged
+/// tile and an edited layout (ECO) re-solves only tiles whose halo
+/// neighborhood changed — both with output byte-identical to a
+/// from-scratch run.
 ///
-/// Every reuse hook — store, preload, pattern library and the record
-/// sinks — runs through one reuse session around the run's correction
-/// cache. Each needs FlowSpec::cache; without it the flow refuses the
-/// hook up front with util::InputError, before any file is touched.
+/// Five FlowSpec hooks reach that reuse, all through one reuse session
+/// around the run's correction cache: a record file to resume from and
+/// append to (`store_path` + `resume`), a pattern-library file
+/// (`library_path`), one in-memory source (`library`) and one sink
+/// (`record_sink`). Every fresh solve is one store::TileRecord — the
+/// tile plus its warm-start seeds, none for ILT solves — sent to each
+/// attached destination. Each hook needs FlowSpec::cache; without it the
+/// flow refuses the hook up front with util::InputError, before any file
+/// is touched.
 #pragma once
 
 #include <atomic>
@@ -79,6 +84,7 @@
 #include "ilt/ilt.h"
 #include "layout/library.h"
 #include "mrc/mrc.h"
+#include "pattern/library.h"
 #include "store/result_store.h"
 #include "trace/metrics.h"
 
@@ -169,22 +175,24 @@ struct FlowSpec {
   /// inspected. Jog findings (MRC005) are warning-severity and never
   /// block. kWarn: the report is kept in FlowStats only.
   mrc::Action mrc_action = mrc::Action::kFail;
-  /// Path of the persistent pattern library (see pattern/library.h).
-  /// Empty (default) = no library. When set, the library's entries are
+  /// Path of the persistent pattern library: a record file (see
+  /// store/result_store.h) opened through pat::PatternLibrary. Empty
+  /// (default) = no library. When set, the library's entries are
   /// imported for exact replay before correcting (like a store resume),
-  /// every freshly solved class is appended — with its warm-start seeds —
-  /// from the serial merge phase, and, when `library_budget` > 0, tiles
-  /// that miss the cache retrieve the nearest solved pattern to warm-start
-  /// from. The file must carry the current flow_fingerprint(); a mismatch
-  /// aborts. Requires `cache`. Fingerprint-mixed: warm starts move the
-  /// solver's trajectory, so the library identity is an output-affecting
-  /// knob.
+  /// every fresh solve is appended — with its warm-start seeds — from the
+  /// serial merge phase, and, when `library_budget` > 0, tiles that miss
+  /// the cache retrieve the nearest seeded entry to warm-start from. The
+  /// file must carry the current flow_fingerprint(); a mismatch aborts
+  /// with STO001. Requires `cache`. Host-local like `store_path`: the
+  /// path is not fingerprint-mixed, so a moved or renamed library stays
+  /// valid.
   std::string library_path;
   /// Feature-space distance budget for near-match retrieval (see
   /// pat::feature_distance). 0 (default) disables near matching: the
   /// library then provides exact replay and accumulation only. Warm
   /// starts change the solved mask within the EPE tolerance (the
-  /// convergence test is unchanged), so the budget is fingerprint-mixed.
+  /// convergence test is unchanged), so the budget is fingerprint-mixed;
+  /// it applies to `library_path` and to the in-memory `library` alike.
   double library_budget = 0.0;
   /// Which corrector the solve phase runs per tile. kModel (default) is
   /// the edge-fragment feedback solver. kIlt re-synthesizes every tile
@@ -202,21 +210,26 @@ struct FlowSpec {
   ilt::IltSpec ilt;
 
   // ---- Service hooks (src/service/) ------------------------------------
-  // Reuse plumbing and observability only: none of these can change the
-  // output geometry, so none reach flow_fingerprint().
+  // Reuse plumbing and observability only: none reach flow_fingerprint().
 
-  /// Records imported into this run's correction cache before any tile
-  /// resolves — the daemon's shared in-memory pattern library. Same
-  /// translation-exact replay semantics as a store resume, so the output
-  /// is byte-identical with or without a preload; replays from preloaded
-  /// entries count in FlowStats::store_hits and the import count lands in
-  /// store_entries_loaded. The pointee must stay alive and unmodified for
-  /// the whole run. Requires `cache`.
-  const std::vector<store::TileRecord>* preload = nullptr;
+  /// In-memory pattern library — the daemon's shelf snapshot. Its
+  /// records are imported into this run's correction cache before any
+  /// tile resolves, with the same translation-exact replay semantics as
+  /// a store resume, so the output is byte-identical with or without
+  /// them; replays of these entries count in FlowStats::store_hits and
+  /// the import count lands in store_entries_loaded. With
+  /// `library_budget` > 0 and no `library_path`, tiles that miss the
+  /// cache also warm-start from its nearest seeded entry, so its
+  /// *content* shapes warm starts (within tolerance) — the enabling knob,
+  /// library_budget, is what reaches the fingerprint. The pointee must
+  /// stay alive and unmodified for the whole run. Requires `cache`.
+  const pat::PatternLibrary* library = nullptr;
   /// Called from the serial merge phase with the canonical-frame record
-  /// of every freshly solved pattern class — exactly the bytes a store
-  /// would append — so the daemon can feed solves back into its shared
-  /// library. Never invoked concurrently (serial phase only).
+  /// of every freshly solved pattern class — the tile plus its
+  /// warm-start seeds (empty for ILT solves), exactly the record a store
+  /// or library file appends — so the daemon can feed solves back into
+  /// its shared shelf. Never invoked concurrently (serial phase only).
+  /// Requires `cache`.
   std::function<void(const store::TileRecord&)> record_sink;
   /// Cooperative cancellation: polled at every phase boundary and between
   /// merged tiles, on the driver thread; when it reads true the flow
@@ -229,25 +242,6 @@ struct FlowSpec {
   /// Progress events from the driver thread: one at each phase start and
   /// one per merged tile (see FlowProgress). Observability only.
   std::function<void(const FlowProgress&)> progress;
-  /// fsync the store file after every appended record (see
-  /// store::ResultStore sync_on_append) — the daemon's durability mode.
-  /// Off by default: batch flows live with the torn-tail contract.
-  bool store_sync = false;
-  /// The daemon's shared pattern library (an immutable clone_memory()
-  /// snapshot), used for near-match retrieval only — exact replay of
-  /// shared entries travels through `preload`, keeping store_hits
-  /// semantics unchanged. Ignored when library_budget is 0. The pointee
-  /// must stay alive and unmodified for the whole run. Note the retrieved
-  /// *content* shapes warm starts, hence the output (within tolerance):
-  /// unlike the other hooks this one is reuse of solver state, not pure
-  /// observability — the enabling knob (library_budget) is what reaches
-  /// the fingerprint.
-  const pat::PatternLibrary* library = nullptr;
-  /// Called from the serial merge phase with the canonical-frame library
-  /// record (exact-replay tile + warm-start seeds) of every freshly
-  /// solved pattern class, so the daemon can feed solves back into its
-  /// shared library. Never invoked concurrently (serial phase only).
-  std::function<void(const pat::LibraryRecord&)> library_sink;
 };
 
 /// Thrown by FlowSpec::fail_after_tiles fault injection — a stand-in for
@@ -267,17 +261,18 @@ struct FlowStats {
   std::size_t cache_hits = 0;       ///< tiles replayed from the cache
   std::size_t cache_misses = 0;     ///< tiles solved fresh (first sighting)
   std::size_t cache_conflicts = 0;  ///< hash/ownership collisions (solved fresh)
-  /// Tiles replayed from entries *preloaded* from the store (a subset of
-  /// cache_hits; in-run reuse of a class first solved this run does not
-  /// count). The resume/ECO acceptance metric.
+  /// Tiles replayed from entries *preloaded* from the store file or the
+  /// in-memory `library` (a subset of cache_hits; in-run reuse of a class
+  /// first solved this run does not count). The resume/ECO acceptance
+  /// metric.
   std::size_t store_hits = 0;
-  std::size_t store_entries_loaded = 0;    ///< records imported on resume
+  std::size_t store_entries_loaded = 0;    ///< records preloaded
   std::size_t store_entries_appended = 0;  ///< fresh solves persisted
   /// True when the loaded store ended in a torn record that was dropped
   /// and truncated (STO002) — the crash-recovery path, not an error.
   bool store_tail_recovered = false;
   /// Tiles replayed from entries imported from the pattern library file
-  /// (a subset of cache_hits, disjoint from store_hits: store and preload
+  /// (a subset of cache_hits, disjoint from store_hits: store and in-memory
   /// imports take precedence in representative selection).
   std::size_t library_exact_hits = 0;
   /// Tiles solved fresh but warm-started from a near-match retrieval
@@ -361,10 +356,11 @@ class MrcGateError : public std::runtime_error {
 /// preflight, stats, store knobs, and the MRC signoff deck/action are
 /// deliberately excluded — they cannot change output geometry (signoff
 /// only accepts or rejects the mask it reads). The service hooks
-/// (preload/record_sink/cancel/progress/store_sync/library/library_sink)
-/// are excluded for the same reason. The pattern-library knobs
-/// (library_path, library_budget) ARE mixed: near-match warm starts move
-/// the solver's trajectory, so the corrected mask depends on them.
+/// (library/record_sink/cancel/progress) and library_path are excluded
+/// too: exact replay cannot change the output, and a library file is the
+/// same library wherever it lives. library_budget IS mixed: near-match
+/// warm starts move the solver's trajectory, so the corrected mask
+/// depends on it.
 std::uint64_t flow_fingerprint(const FlowSpec& spec,
                                std::string_view flow_kind);
 

@@ -1,8 +1,8 @@
 #include "core/flow_codec.h"
 
-#include <bit>
 #include <string>
 
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace opckit::opc {
@@ -14,218 +14,122 @@ namespace {
 // Version 3 appends the correction-engine selection and the pixel-ILT
 // knobs (engine, ilt_escalation_epe_nm, the IltSpec) after the library
 // budget — all fingerprint-mixed, so same rule.
-constexpr std::uint16_t kCodecVersion = 3;
+// Version 4 drops library_path: it left the fingerprint and, like
+// store_path, names a file on the submitting host.
+constexpr std::uint16_t kCodecVersion = 4;
 /// A deck entry name is a short rule label; anything huge is corruption.
 constexpr std::uint32_t kMaxNameBytes = 4096;
 constexpr std::uint32_t kMaxDeckChecks = 100000;
-
-// ---- little-endian primitives (the store's byte discipline) -----------
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFFu));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-}
-
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_d(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
 
 [[noreturn]] void malformed(const std::string& what) {
   throw util::InputError("flow spec codec: " + what);
 }
 
-/// Bounds-checked cursor; every accessor throws instead of reading past
-/// the end, so a corrupt length can never drive an out-of-range access.
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
+int read_int(util::ByteReader& r) {
+  const std::int64_t v = r.i64();
+  if (v < INT32_MIN || v > INT32_MAX) malformed("int field out of range");
+  return static_cast<int>(v);
+}
 
-  std::size_t remaining() const { return size_ - pos_; }
+/// Range-checked enum decode: values in [0, count) only.
+template <typename E>
+E read_enum(util::ByteReader& r, std::uint8_t count, const char* what) {
+  const std::uint8_t v = r.u8();
+  if (v >= count) malformed(std::string("bad ") + what + " enum value");
+  return static_cast<E>(v);
+}
 
-  std::uint8_t u8() {
-    need(1, "byte");
-    return data_[pos_++];
-  }
-
-  std::uint16_t u16() {
-    need(2, "u16");
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i)
-      v = static_cast<std::uint16_t>(
-          v | static_cast<std::uint16_t>(data_[pos_ + static_cast<std::size_t>(
-                                                         i)])
-                  << (8 * i));
-    pos_ += 2;
-    return v;
-  }
-
-  std::uint32_t u32() {
-    need(4, "u32");
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(
-               data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    need(8, "u64");
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(
-               data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double d() { return std::bit_cast<double>(u64()); }
-
-  int i32() {
-    const std::int64_t v = i64();
-    if (v < INT32_MIN || v > INT32_MAX) malformed("int field out of range");
-    return static_cast<int>(v);
-  }
-
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (n > kMaxNameBytes) malformed("string length exceeds the limit");
-    need(n, "string body");
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  /// Range-checked enum decode: values in [0, count) only.
-  template <typename E>
-  E enum8(std::uint8_t count, const char* what) {
-    const std::uint8_t v = u8();
-    if (v >= count) malformed(std::string("bad ") + what + " enum value");
-    return static_cast<E>(v);
-  }
-
-  bool boolean() {
-    const std::uint8_t v = u8();
-    if (v > 1) malformed("bad boolean value");
-    return v == 1;
-  }
-
- private:
-  void need(std::size_t n, const char* what) {
-    if (remaining() < n)
-      malformed(std::string("truncated buffer reading ") + what);
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
+bool read_bool(util::ByteReader& r) {
+  const std::uint8_t v = r.u8();
+  if (v > 1) malformed("bad boolean value");
+  return v == 1;
+}
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_flow_spec(const FlowSpec& spec) {
   std::vector<std::uint8_t> out;
-  put_u16(out, kCodecVersion);
+  util::ByteWriter w(out);
+  w.u16(kCodecVersion);
 
   const ModelOpcSpec& o = spec.opc;
-  put_i64(out, o.fragmentation.target_length);
-  put_i64(out, o.fragmentation.corner_length);
-  put_i64(out, o.fragmentation.min_length);
-  put_i64(out, o.fragmentation.line_end_max);
-  put_i64(out, o.max_iterations);
-  put_d(out, o.gain);
-  put_i64(out, o.max_move_per_iter);
-  put_i64(out, o.max_total_offset);
-  put_d(out, o.epe_tolerance_nm);
-  put_d(out, o.probe_range_nm);
-  put_i64(out, o.grid_nm);
-  put_i64(out, o.min_mask_space_nm);
-  put_i64(out, o.min_tip_gap_nm);
-  put_d(out, o.corner_gain_scale);
-  put_i64(out, o.corner_max_offset);
+  w.i64(o.fragmentation.target_length);
+  w.i64(o.fragmentation.corner_length);
+  w.i64(o.fragmentation.min_length);
+  w.i64(o.fragmentation.line_end_max);
+  w.i64(o.max_iterations);
+  w.f64(o.gain);
+  w.i64(o.max_move_per_iter);
+  w.i64(o.max_total_offset);
+  w.f64(o.epe_tolerance_nm);
+  w.f64(o.probe_range_nm);
+  w.i64(o.grid_nm);
+  w.i64(o.min_mask_space_nm);
+  w.i64(o.min_tip_gap_nm);
+  w.f64(o.corner_gain_scale);
+  w.i64(o.corner_max_offset);
 
   const litho::SimSpec& s = spec.sim;
-  put_d(out, s.optics.wavelength_nm);
-  put_d(out, s.optics.na);
-  out.push_back(static_cast<std::uint8_t>(s.optics.source.shape));
-  put_d(out, s.optics.source.sigma_outer);
-  put_d(out, s.optics.source.sigma_inner);
-  put_d(out, s.optics.source.pole_center);
-  put_d(out, s.optics.source.pole_radius);
-  put_i64(out, s.optics.source.grid);
-  put_d(out, s.optics.aberrations.coma_x_nm);
-  put_d(out, s.optics.aberrations.coma_y_nm);
-  put_d(out, s.optics.aberrations.astig_nm);
-  out.push_back(static_cast<std::uint8_t>(s.mask.type));
-  put_d(out, s.mask.background_transmission);
-  put_d(out, s.resist.threshold);
-  put_d(out, s.resist.diffusion_nm);
-  put_d(out, s.pixel_nm);
-  put_i64(out, s.guard_nm);
-  out.push_back(static_cast<std::uint8_t>(s.imaging));
-  put_d(out, s.socs_epsilon);
+  w.f64(s.optics.wavelength_nm);
+  w.f64(s.optics.na);
+  w.u8(static_cast<std::uint8_t>(s.optics.source.shape));
+  w.f64(s.optics.source.sigma_outer);
+  w.f64(s.optics.source.sigma_inner);
+  w.f64(s.optics.source.pole_center);
+  w.f64(s.optics.source.pole_radius);
+  w.i64(s.optics.source.grid);
+  w.f64(s.optics.aberrations.coma_x_nm);
+  w.f64(s.optics.aberrations.coma_y_nm);
+  w.f64(s.optics.aberrations.astig_nm);
+  w.u8(static_cast<std::uint8_t>(s.mask.type));
+  w.f64(s.mask.background_transmission);
+  w.f64(s.resist.threshold);
+  w.f64(s.resist.diffusion_nm);
+  w.f64(s.pixel_nm);
+  w.i64(s.guard_nm);
+  w.u8(static_cast<std::uint8_t>(s.imaging));
+  w.f64(s.socs_epsilon);
 
-  put_i64(out, spec.halo_nm);
-  put_u16(out, spec.input_layer.layer);
-  put_u16(out, spec.input_layer.datatype);
-  put_u16(out, spec.output_layer.layer);
-  put_u16(out, spec.output_layer.datatype);
-  put_i64(out, spec.flat_context_passes);
-  out.push_back(spec.preflight ? 1 : 0);
-  put_i64(out, spec.jobs);
-  out.push_back(spec.cache ? 1 : 0);
-  out.push_back(spec.cache_symmetry ? 1 : 0);
+  w.i64(spec.halo_nm);
+  w.u16(spec.input_layer.layer);
+  w.u16(spec.input_layer.datatype);
+  w.u16(spec.output_layer.layer);
+  w.u16(spec.output_layer.datatype);
+  w.i64(spec.flat_context_passes);
+  w.u8(spec.preflight ? 1 : 0);
+  w.i64(spec.jobs);
+  w.u8(spec.cache ? 1 : 0);
+  w.u8(spec.cache_symmetry ? 1 : 0);
 
-  put_u32(out, static_cast<std::uint32_t>(spec.mrc_deck.size()));
+  w.u32(static_cast<std::uint32_t>(spec.mrc_deck.size()));
   for (const mrc::Check& c : spec.mrc_deck) {
-    out.push_back(static_cast<std::uint8_t>(c.kind));
-    put_i64(out, c.value);
-    put_u32(out, static_cast<std::uint32_t>(c.name.size()));
-    out.insert(out.end(), c.name.begin(), c.name.end());
+    w.u8(static_cast<std::uint8_t>(c.kind));
+    w.i64(c.value);
+    w.str(c.name);
   }
-  out.push_back(static_cast<std::uint8_t>(spec.mrc_action));
+  w.u8(static_cast<std::uint8_t>(spec.mrc_action));
 
-  put_u32(out, static_cast<std::uint32_t>(spec.library_path.size()));
-  out.insert(out.end(), spec.library_path.begin(), spec.library_path.end());
-  put_d(out, spec.library_budget);
+  w.f64(spec.library_budget);
 
-  out.push_back(static_cast<std::uint8_t>(spec.engine));
-  put_d(out, spec.ilt_escalation_epe_nm);
+  w.u8(static_cast<std::uint8_t>(spec.engine));
+  w.f64(spec.ilt_escalation_epe_nm);
   const ilt::IltSpec& il = spec.ilt;
-  put_i64(out, il.max_iterations);
-  put_d(out, il.step);
-  put_d(out, il.sigmoid_steepness);
-  put_d(out, il.edge_weight);
-  put_d(out, il.edge_band_nm);
-  put_d(out, il.convergence_tol);
-  put_d(out, il.mask_threshold);
-  put_i64(out, il.min_width_nm);
-  put_i64(out, il.min_space_nm);
-  put_i64(out, il.min_corner_nm);
-  put_d(out, il.min_area_nm2);
+  w.i64(il.max_iterations);
+  w.f64(il.step);
+  w.f64(il.sigmoid_steepness);
+  w.f64(il.edge_weight);
+  w.f64(il.edge_band_nm);
+  w.f64(il.convergence_tol);
+  w.f64(il.mask_threshold);
+  w.i64(il.min_width_nm);
+  w.i64(il.min_space_nm);
+  w.i64(il.min_corner_nm);
+  w.f64(il.min_area_nm2);
   return out;
 }
 
 FlowSpec decode_flow_spec(const std::uint8_t* data, std::size_t size) {
-  Reader r(data, size);
+  util::ByteReader r(data, size, malformed);
   const std::uint16_t version = r.u16();
   if (version != kCodecVersion)
     malformed("spec version " + std::to_string(version) +
@@ -237,87 +141,85 @@ FlowSpec decode_flow_spec(const std::uint8_t* data, std::size_t size) {
   o.fragmentation.corner_length = r.i64();
   o.fragmentation.min_length = r.i64();
   o.fragmentation.line_end_max = r.i64();
-  o.max_iterations = r.i32();
-  o.gain = r.d();
+  o.max_iterations = read_int(r);
+  o.gain = r.f64();
   o.max_move_per_iter = r.i64();
   o.max_total_offset = r.i64();
-  o.epe_tolerance_nm = r.d();
-  o.probe_range_nm = r.d();
+  o.epe_tolerance_nm = r.f64();
+  o.probe_range_nm = r.f64();
   o.grid_nm = r.i64();
   o.min_mask_space_nm = r.i64();
   o.min_tip_gap_nm = r.i64();
-  o.corner_gain_scale = r.d();
+  o.corner_gain_scale = r.f64();
   o.corner_max_offset = r.i64();
 
   litho::SimSpec& s = spec.sim;
-  s.optics.wavelength_nm = r.d();
-  s.optics.na = r.d();
-  s.optics.source.shape = r.enum8<litho::SourceShape>(4, "source shape");
-  s.optics.source.sigma_outer = r.d();
-  s.optics.source.sigma_inner = r.d();
-  s.optics.source.pole_center = r.d();
-  s.optics.source.pole_radius = r.d();
-  s.optics.source.grid = r.i32();
-  s.optics.aberrations.coma_x_nm = r.d();
-  s.optics.aberrations.coma_y_nm = r.d();
-  s.optics.aberrations.astig_nm = r.d();
-  s.mask.type = r.enum8<litho::MaskType>(2, "mask type");
-  s.mask.background_transmission = r.d();
-  s.resist.threshold = r.d();
-  s.resist.diffusion_nm = r.d();
-  s.pixel_nm = r.d();
+  s.optics.wavelength_nm = r.f64();
+  s.optics.na = r.f64();
+  s.optics.source.shape = read_enum<litho::SourceShape>(r, 4, "source shape");
+  s.optics.source.sigma_outer = r.f64();
+  s.optics.source.sigma_inner = r.f64();
+  s.optics.source.pole_center = r.f64();
+  s.optics.source.pole_radius = r.f64();
+  s.optics.source.grid = read_int(r);
+  s.optics.aberrations.coma_x_nm = r.f64();
+  s.optics.aberrations.coma_y_nm = r.f64();
+  s.optics.aberrations.astig_nm = r.f64();
+  s.mask.type = read_enum<litho::MaskType>(r, 2, "mask type");
+  s.mask.background_transmission = r.f64();
+  s.resist.threshold = r.f64();
+  s.resist.diffusion_nm = r.f64();
+  s.pixel_nm = r.f64();
   s.guard_nm = r.i64();
-  s.imaging = r.enum8<litho::ImagingMode>(2, "imaging mode");
-  s.socs_epsilon = r.d();
+  s.imaging = read_enum<litho::ImagingMode>(r, 2, "imaging mode");
+  s.socs_epsilon = r.f64();
 
   spec.halo_nm = r.i64();
   spec.input_layer.layer = r.u16();
   spec.input_layer.datatype = r.u16();
   spec.output_layer.layer = r.u16();
   spec.output_layer.datatype = r.u16();
-  spec.flat_context_passes = r.i32();
-  spec.preflight = r.boolean();
-  spec.jobs = r.i32();
-  spec.cache = r.boolean();
-  spec.cache_symmetry = r.boolean();
+  spec.flat_context_passes = read_int(r);
+  spec.preflight = read_bool(r);
+  spec.jobs = read_int(r);
+  spec.cache = read_bool(r);
+  spec.cache_symmetry = read_bool(r);
 
   const std::uint32_t n_checks = r.u32();
   if (n_checks > kMaxDeckChecks) malformed("MRC deck count exceeds the limit");
   // Each check costs at least kind + value + name length = 13 bytes;
   // pre-check so a corrupt count cannot allocate unboundedly.
-  if (r.remaining() < static_cast<std::uint64_t>(n_checks) * 13)
-    malformed("truncated MRC deck");
+  r.need(static_cast<std::uint64_t>(n_checks) * 13, "MRC deck");
   spec.mrc_deck.reserve(n_checks);
   for (std::uint32_t i = 0; i < n_checks; ++i) {
     mrc::Check c;
-    c.kind = r.enum8<mrc::CheckKind>(7, "MRC check kind");
+    c.kind = read_enum<mrc::CheckKind>(r, 7, "MRC check kind");
     c.value = r.i64();
-    c.name = r.str();
+    c.name = r.str(kMaxNameBytes);
     spec.mrc_deck.push_back(std::move(c));
   }
-  spec.mrc_action = r.enum8<mrc::Action>(2, "MRC action");
+  spec.mrc_action = read_enum<mrc::Action>(r, 2, "MRC action");
 
-  spec.library_path = r.str();
-  spec.library_budget = r.d();
+  spec.library_budget = r.f64();
   if (!(spec.library_budget >= 0.0))
     malformed("negative or NaN library budget");
 
-  spec.engine = r.enum8<CorrectionEngine>(3, "correction engine");
-  spec.ilt_escalation_epe_nm = r.d();
+  spec.engine = read_enum<CorrectionEngine>(r, 3, "correction engine");
+  spec.ilt_escalation_epe_nm = r.f64();
   if (!(spec.ilt_escalation_epe_nm >= 0.0))
     malformed("negative or NaN ILT escalation threshold");
   ilt::IltSpec& il = spec.ilt;
-  il.max_iterations = r.i32();
-  il.step = r.d();
-  il.sigmoid_steepness = r.d();
-  il.edge_weight = r.d();
-  il.edge_band_nm = r.d();
-  il.convergence_tol = r.d();
-  il.mask_threshold = r.d();
+  il.max_iterations = read_int(r);
+  il.step = r.f64();
+  il.sigmoid_steepness = r.f64();
+  il.edge_weight = r.f64();
+  il.edge_band_nm = r.f64();
+  il.convergence_tol = r.f64();
+  il.mask_threshold = r.f64();
   il.min_width_nm = r.i64();
   il.min_space_nm = r.i64();
   il.min_corner_nm = r.i64();
-  il.min_area_nm2 = r.d();
+  il.min_area_nm2 = r.f64();
   if (il.max_iterations < 1 || !(il.step > 0.0) ||
       !(il.sigmoid_steepness > 0.0) || !(il.edge_weight >= 0.0) ||
       !(il.edge_band_nm >= 0.0) || !(il.convergence_tol >= 0.0) ||
@@ -326,9 +228,7 @@ FlowSpec decode_flow_spec(const std::uint8_t* data, std::size_t size) {
       il.min_corner_nm <= 0 || !(il.min_area_nm2 >= 0.0))
     malformed("invalid pixel-ILT knobs");
 
-  if (r.remaining() != 0)
-    malformed(std::to_string(r.remaining()) +
-              " trailing bytes after a well-formed spec");
+  r.finish();
   return spec;
 }
 

@@ -4,24 +4,21 @@
 ///
 /// The codec covers every knob that reaches flow_fingerprint() (optical
 /// model, resist, mask stack, OPC recipe, fragmentation, halo, layers,
-/// pass count, symmetry policy, pattern-library knobs) plus the
-/// execution knobs a client may reasonably set per job (jobs, cache,
+/// pass count, symmetry policy, library_budget, correction engine) plus
+/// the execution knobs a client may reasonably set per job (jobs, cache,
 /// preflight, MRC deck/action, flat_context_passes). It deliberately
-/// EXCLUDES host-local state — store_path/resume/store_sync,
+/// EXCLUDES host-local state — store_path/resume/library_path,
 /// fail_after_tiles, and the service hooks
-/// (preload/record_sink/cancel/progress/library/library_sink) — because
-/// those describe the executing process, not the job, and the daemon
-/// owns them. library_path is fingerprint-reaching, so it IS carried —
-/// the daemon clears it and substitutes its own library, exactly as it
-/// does for store_path (see service/server.cpp).
+/// (library/record_sink/cancel/progress) — because those describe the
+/// executing process, not the job, and the daemon owns them.
 ///
-/// Layout (version 2, little-endian; v2 appended library_path and
-/// library_budget after the MRC action): u16 version, then the fields in a
-/// fixed order; doubles as IEEE-754 bit patterns, enums as range-checked
-/// u8, the MRC deck as a counted list of {kind, value, name}. Decoding
-/// is bounds-checked end to end (the store Reader discipline): corrupt
-/// counts or truncated buffers throw util::InputError before anything
-/// out-of-range is read or allocated, and trailing bytes are an error.
+/// Layout (version 4, little-endian; v4 dropped library_path): u16
+/// version, then the fields in a fixed order; doubles as IEEE-754 bit
+/// patterns, enums as range-checked u8, the MRC deck as a counted list of
+/// {kind, value, name}. Decoding is bounds-checked end to end
+/// (util::ByteReader): corrupt counts or truncated buffers throw
+/// util::InputError before anything out-of-range is read or allocated,
+/// and trailing bytes are an error.
 ///
 /// The correctness contract, asserted by service_protocol_test: for any
 /// spec,  flow_fingerprint(decode(encode(spec))) == flow_fingerprint

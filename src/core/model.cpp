@@ -91,9 +91,9 @@ ModelOpcResult run_model_opc(const std::vector<Polygon>& targets,
       Fragment& f = result.fragments[i];
       const Point site = eval_point(polys[f.polygon], f);
       if (!window.contains(site)) continue;
-      const pat::WarmSeed* best = nullptr;
+      const store::WarmSeed* best = nullptr;
       double best_sq = r_sq;
-      for (const pat::WarmSeed& s : warm->seeds) {
+      for (const store::WarmSeed& s : warm->seeds) {
         const auto dx = static_cast<double>(s.site.x - site.x);
         const auto dy = static_cast<double>(s.site.y - site.y);
         const double d_sq = dx * dx + dy * dy;

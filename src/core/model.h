@@ -14,7 +14,7 @@
 
 #include "core/fragment.h"
 #include "litho/simulator.h"
-#include "pattern/library.h"
+#include "store/result_store.h"
 
 namespace opckit::opc {
 
@@ -76,8 +76,8 @@ struct OpcIteration {
 /// runs to the usual convergence test, so the EPE guarantee is unchanged
 /// — a good seed only removes iterations.
 struct WarmStart {
-  std::vector<pat::WarmSeed> seeds;  ///< layout-frame sites + offsets
-  geom::Coord match_radius_nm = 120; ///< max site distance to adopt a seed
+  std::vector<store::WarmSeed> seeds;  ///< layout-frame sites + offsets
+  geom::Coord match_radius_nm = 120;   ///< max site distance to adopt a seed
 };
 
 /// Model-OPC output.
@@ -88,7 +88,7 @@ struct ModelOpcResult {
   bool converged = false;
   /// Final (site, offset) of every in-window fragment — the warm-start
   /// seeds a future similar tile can be solved from.
-  std::vector<pat::WarmSeed> seeds;
+  std::vector<store::WarmSeed> seeds;
   /// Fragments whose initial offset came from a warm-start seed.
   std::size_t warm_seeded = 0;
 

@@ -87,21 +87,23 @@ constexpr CodeInfo kCodes[] = {
      "range"},
 
     {"STO001", Severity::kError,
-     "correction store written under a different process fingerprint",
-     "rerun without --resume to rebuild the store under the current "
-     "model/deck/flow setup"},
+     "record file (.ocs store or .ocl library) written under a different "
+     "process fingerprint",
+     "rerun without --resume (or delete the library) to rebuild it under "
+     "the current model/deck/flow setup"},
     {"STO002", Severity::kWarning,
-     "correction store tail torn mid-record; partial record dropped",
+     "record file (.ocs/.ocl) tail torn mid-record; partial record dropped",
      "no action needed — the interrupted tile is re-solved and the tail "
      "is truncated on the next append"},
     {"STO003", Severity::kError,
-     "correction store header malformed or version unknown",
-     "the file is not a store this build can read; delete it and rerun "
-     "without --resume"},
+     "record file (.ocs/.ocl) header malformed or version unknown, "
+     "including version-1 files",
+     "the file is not a record file this build can read; delete it and "
+     "rerun without --resume"},
     {"STO004", Severity::kError,
-     "correction store record corrupt (checksum or structure)",
-     "the store is damaged beyond a torn tail; delete it and rerun "
-     "without --resume"},
+     "record file (.ocs/.ocl) record corrupt (checksum or structure)",
+     "the file is damaged beyond a torn tail; delete it and rerun without "
+     "--resume"},
 
     // Mask-rule signoff (scanline MRC engine, src/mrc). Each finding
     // carries the witness edges and measured distance in its message
@@ -134,7 +136,7 @@ constexpr struct {
     {"GDS", "GDSII structural limits"},
     {"RUL", "Rule-deck sanity"},
     {"MOD", "Model-parameter bands"},
-    {"STO", "Correction-store integrity"},
+    {"STO", "Record-file integrity (.ocs store, .ocl library)"},
     {"MRC", "Mask-rule signoff"},
 };
 

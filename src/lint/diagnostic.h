@@ -11,7 +11,7 @@
 ///   GDSnnn  GDSII structural limits
 ///   RULnnn  rule-deck (rule-OPC recipe) sanity
 ///   MODnnn  imaging/OPC model-parameter bands
-///   STOnnn  correction-store integrity (src/store)
+///   STOnnn  record-file integrity, .ocs and .ocl (src/store)
 ///   MRCnnn  mask-rule signoff (scanline MRC engine, src/mrc)
 ///
 /// The full registry (code, default severity, one-line title) is

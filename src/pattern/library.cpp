@@ -1,290 +1,59 @@
 #include "pattern/library.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <array>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
-#include <utility>
 
 #include "pattern/canonical.h"
-#include "util/check.h"
 
 namespace opckit::pat {
-namespace {
-
-// Library file layout mirrors the `.ocs` store (see result_store.h):
-// same header shape and CRC discipline under a distinct magic/version,
-// with each record framing a TileRecord payload plus its warm seeds.
-constexpr std::array<std::uint8_t, 8> kMagic = {'O', 'P', 'C', 'K',
-                                                'I', 'T', 'L', '1'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 4;
-constexpr std::size_t kSeedBytes = 3 * 8;
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
-}
-
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::int64_t get_i64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return static_cast<std::int64_t>(v);
-}
-
-std::vector<std::uint8_t> encode_library_record(const LibraryRecord& rec) {
-  const std::vector<std::uint8_t> tile =
-      store::store_detail::encode_record(rec.tile);
-  std::vector<std::uint8_t> out;
-  out.reserve(4 + tile.size() + 4 + rec.seeds.size() * kSeedBytes);
-  put_u32(out, static_cast<std::uint32_t>(tile.size()));
-  out.insert(out.end(), tile.begin(), tile.end());
-  put_u32(out, static_cast<std::uint32_t>(rec.seeds.size()));
-  for (const WarmSeed& s : rec.seeds) {
-    put_i64(out, s.site.x);
-    put_i64(out, s.site.y);
-    put_i64(out, s.offset);
-  }
-  return out;
-}
-
-/// Parse one library-record payload; false on any structural violation.
-bool decode_library_record(const std::uint8_t* data, std::size_t size,
-                           LibraryRecord& rec) {
-  if (size < 4) return false;
-  const std::uint32_t tile_len = get_u32(data);
-  std::size_t pos = 4;
-  if (size - pos < tile_len) return false;
-  if (!store::store_detail::decode_record(data + pos, tile_len, rec.tile))
-    return false;
-  pos += tile_len;
-  if (size - pos < 4) return false;
-  const std::uint32_t n_seeds = get_u32(data + pos);
-  pos += 4;
-  if ((size - pos) / kSeedBytes < n_seeds) return false;
-  rec.seeds.resize(n_seeds);
-  for (WarmSeed& s : rec.seeds) {
-    s.site.x = get_i64(data + pos);
-    s.site.y = get_i64(data + pos + 8);
-    s.offset = get_i64(data + pos + 16);
-    pos += kSeedBytes;
-  }
-  return pos == size;
-}
-
-int open_writer_fd(const std::string& path, int flags) {
-  int fd = -1;
-  do {
-    fd = ::open(path.c_str(), flags, 0644);
-  } while (fd < 0 && errno == EINTR);
-  if (fd < 0)
-    throw util::InputError("pattern library: cannot open '" + path +
-                           "' for writing: " + std::strerror(errno));
-  return fd;
-}
-
-void write_all_fd(int fd, const std::uint8_t* data, std::size_t size,
-                  const std::string& path) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw util::InputError("pattern library: write failed on '" + path +
-                             "': " + std::strerror(errno));
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-}
-
-}  // namespace
-
-PatternLibrary::PatternLibrary(PatternLibrary&& other) noexcept
-    : records_(std::move(other.records_)),
-      features_(std::move(other.features_)),
-      by_norm_(std::move(other.by_norm_)),
-      window_hashes_(std::move(other.window_hashes_)),
-      load_info_(other.load_info_),
-      path_(std::move(other.path_)),
-      fd_(std::exchange(other.fd_, -1)),
-      sync_on_append_(other.sync_on_append_) {}
-
-PatternLibrary& PatternLibrary::operator=(PatternLibrary&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    records_ = std::move(other.records_);
-    features_ = std::move(other.features_);
-    by_norm_ = std::move(other.by_norm_);
-    window_hashes_ = std::move(other.window_hashes_);
-    load_info_ = other.load_info_;
-    path_ = std::move(other.path_);
-    fd_ = std::exchange(other.fd_, -1);
-    sync_on_append_ = other.sync_on_append_;
-  }
-  return *this;
-}
-
-PatternLibrary::~PatternLibrary() {
-  if (fd_ >= 0) ::close(fd_);
-}
 
 PatternLibrary PatternLibrary::open(const std::string& path,
                                     std::uint64_t fingerprint,
                                     bool sync_on_append) {
   PatternLibrary lib;
-  lib.path_ = path;
-  lib.sync_on_append_ = sync_on_append;
-
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  if (!std::filesystem::exists(path)) {
     // Fresh library: write the header now so a crash before the first
     // insert leaves a valid (empty) file.
-    std::vector<std::uint8_t> header;
-    header.insert(header.end(), kMagic.begin(), kMagic.end());
-    put_u32(header, kVersion);
-    put_u64(header, fingerprint);
-    put_u32(header,
-            store::store_detail::crc32(header.data(), header.size()));
-    OPCKIT_DCHECK(header.size() == kHeaderSize);
-    lib.fd_ = open_writer_fd(path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC);
-    write_all_fd(lib.fd_, header.data(), header.size(), path);
+    lib.writer_.emplace(
+        store::ResultStore::create(path, fingerprint, sync_on_append));
     return lib;
   }
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  in.close();
-
-  // ---- header (same refusal contract as the correction store) ----
-  if (bytes.size() < kHeaderSize)
-    throw util::InputError("pattern library: '" + path +
-                           "' is too short to hold a library header (" +
-                           std::to_string(bytes.size()) + " bytes)");
-  if (!std::equal(kMagic.begin(), kMagic.end(), bytes.begin()))
-    throw util::InputError("pattern library: '" + path +
-                           "' does not start with the OPCKITL1 magic");
-  const std::uint32_t version = get_u32(bytes.data() + 8);
-  std::uint64_t file_fp = 0;
-  for (int i = 0; i < 8; ++i)
-    file_fp |= static_cast<std::uint64_t>(bytes[12 + static_cast<std::size_t>(
-                                                         i)])
-               << (8 * i);
-  const std::uint32_t header_crc = get_u32(bytes.data() + 20);
-  if (store::store_detail::crc32(bytes.data(), kHeaderSize - 4) != header_crc)
-    throw util::InputError("pattern library: '" + path +
-                           "' header checksum mismatch");
-  if (version != kVersion)
-    throw util::InputError(
-        "pattern library: '" + path + "' has library version " +
-        std::to_string(version) + "; this build reads version " +
-        std::to_string(kVersion));
-  if (file_fp != fingerprint)
-    throw util::InputError(
-        "pattern library: '" + path +
-        "' was written under a different process setup; refusing to "
-        "warm-start from it — delete it to rebuild");
-
-  // ---- records: keep whole verified records, recover a torn tail ----
-  std::size_t pos = kHeaderSize;
-  std::uint64_t valid_bytes = pos;
-  while (pos < bytes.size()) {
-    const std::size_t rem = bytes.size() - pos;
-    std::uint32_t len = 0;
-    bool torn = rem < 4;
-    if (!torn) {
-      len = get_u32(bytes.data() + pos);
-      torn = static_cast<std::uint64_t>(len) + 8 > rem;
-    }
-    if (torn) {
-      lib.load_info_.tail_recovered = true;
-      break;
-    }
-    const std::uint8_t* payload = bytes.data() + pos + 4;
-    const std::uint32_t stored_crc = get_u32(payload + len);
-    if (store::store_detail::crc32(payload, len) != stored_crc)
-      throw util::InputError(
-          "pattern library: '" + path + "' record " +
-          std::to_string(lib.records_.size()) +
-          " fails its checksum; the library is corrupt — delete it");
-    LibraryRecord rec;
-    if (!decode_library_record(payload, len, rec))
-      throw util::InputError(
-          "pattern library: '" + path + "' record " +
-          std::to_string(lib.records_.size()) +
-          " is structurally malformed despite a valid checksum; the "
-          "library is corrupt — delete it");
-    // Rebuild the index from geometry; features and hashes are derived
-    // data and are never trusted from disk.
-    const std::size_t idx = lib.records_.size();
-    lib.features_.push_back(feature_of(rec.tile.window_rects));
-    lib.window_hashes_.push_back(hash_rects(rec.tile.window_rects));
-    const auto key = std::make_pair(lib.features_.back().norm, idx);
-    lib.by_norm_.insert(
-        std::upper_bound(lib.by_norm_.begin(), lib.by_norm_.end(), key), key);
-    lib.records_.push_back(std::move(rec));
-    pos += 4 + static_cast<std::size_t>(len) + 4;
-    valid_bytes = pos;
+  store::LoadResult loaded = store::ResultStore::load(path, fingerprint);
+  lib.load_info_ = {loaded.records.size(), loaded.tail_recovered};
+  for (store::TileRecord& rec : loaded.records) {
+    // Features and hashes are derived data, rebuilt from geometry and
+    // never trusted from disk.
+    const std::uint64_t wh = hash_rects(rec.window_rects);
+    lib.add(std::move(rec), wh);
   }
-  lib.load_info_.records_loaded = lib.records_.size();
-
-  // Drop any recovered torn tail before appending, as append_to does.
-  std::error_code ec;
-  std::filesystem::resize_file(path, valid_bytes, ec);
-  if (ec)
-    throw util::InputError("pattern library: cannot truncate '" + path +
-                           "' to its valid prefix: " + ec.message());
-  lib.fd_ = open_writer_fd(path, O_WRONLY | O_APPEND | O_CLOEXEC);
+  lib.writer_.emplace(store::ResultStore::append_to(path, loaded.valid_bytes,
+                                                    sync_on_append));
   return lib;
 }
 
-bool PatternLibrary::insert(const LibraryRecord& rec) {
-  const std::uint64_t wh = hash_rects(rec.tile.window_rects);
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    if (window_hashes_[i] == wh && records_[i].tile == rec.tile) return false;
-  }
+void PatternLibrary::add(store::TileRecord rec, std::uint64_t window_hash) {
   const std::size_t idx = records_.size();
-  features_.push_back(feature_of(rec.tile.window_rects));
-  window_hashes_.push_back(wh);
-  const auto key = std::make_pair(features_.back().norm, idx);
-  by_norm_.insert(std::upper_bound(by_norm_.begin(), by_norm_.end(), key),
-                  key);
-  records_.push_back(rec);
-
-  if (fd_ >= 0) {
-    const std::vector<std::uint8_t> payload = encode_library_record(rec);
-    std::vector<std::uint8_t> framed;
-    framed.reserve(payload.size() + 8);
-    put_u32(framed, static_cast<std::uint32_t>(payload.size()));
-    framed.insert(framed.end(), payload.begin(), payload.end());
-    put_u32(framed,
-            store::store_detail::crc32(payload.data(), payload.size()));
-    write_all_fd(fd_, framed.data(), framed.size(), path_);
-    if (sync_on_append_ && ::fsync(fd_) != 0)
-      throw util::InputError("pattern library: fsync failed on '" + path_ +
-                             "': " + std::strerror(errno));
+  features_.push_back(feature_of(rec.window_rects));
+  const auto hkey = std::make_pair(window_hash, idx);
+  by_hash_.insert(std::upper_bound(by_hash_.begin(), by_hash_.end(), hkey),
+                  hkey);
+  if (!rec.seeds.empty()) {
+    const auto nkey = std::make_pair(features_.back().norm, idx);
+    by_norm_.insert(std::upper_bound(by_norm_.begin(), by_norm_.end(), nkey),
+                    nkey);
   }
+  records_.push_back(std::move(rec));
+}
+
+bool PatternLibrary::insert(const store::TileRecord& rec) {
+  const std::uint64_t wh = hash_rects(rec.window_rects);
+  for (auto it = std::lower_bound(by_hash_.begin(), by_hash_.end(),
+                                  std::make_pair(wh, std::size_t{0}));
+       it != by_hash_.end() && it->first == wh; ++it) {
+    if (store::same_tile(records_[it->second], rec)) return false;
+  }
+  add(rec, wh);
+  if (writer_) writer_->append(rec);
   return true;
 }
 
@@ -314,7 +83,7 @@ PatternLibrary PatternLibrary::clone_memory() const {
   copy.records_ = records_;
   copy.features_ = features_;
   copy.by_norm_ = by_norm_;
-  copy.window_hashes_ = window_hashes_;
+  copy.by_hash_ = by_hash_;
   copy.load_info_ = load_info_;
   return copy;
 }

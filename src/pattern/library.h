@@ -1,21 +1,25 @@
 /// \file library.h
-/// The persistent cross-run pattern library: solved (pattern → correction)
-/// entries with near-match retrieval.
+/// The pattern library: an in-memory index of solved records with
+/// near-match retrieval.
 ///
 /// The run-local CorrectionCache answers "have I solved *exactly* this
 /// window before" (up to translation and, opt-in, D4). The library extends
 /// reuse across runs and across *similar* patterns:
 ///
-///  - every entry carries the exact-replay payload (a store::TileRecord,
-///    importable into the CorrectionCache) plus the solved per-fragment
-///    warm-start seeds (canonical-frame sites and final normal offsets);
-///  - a feature-space index (feature.h) retrieves the nearest solved
-///    pattern under a caller-set distance budget, pruned by the triangle
+///  - every entry is one store::TileRecord — the exact-replay tile,
+///    importable into the CorrectionCache, plus the solved per-fragment
+///    warm-start seeds in the same canonical frame (none for ILT solves);
+///  - a feature-space index (feature.h) retrieves the nearest seeded
+///    entry under a caller-set distance budget, pruned by the triangle
 ///    inequality on cached L2 norms — deterministic, ties broken by
-///    insertion order;
-///  - the on-disk format reuses the `.ocs` integrity discipline: magic +
-///    version + fingerprint header under a CRC, length-prefixed CRC32
-///    records, torn-tail recovery on load, refusal on real corruption.
+///    insertion order. Entries without seeds replay but never warm-start;
+///  - inserts deduplicate by tile (a window-hash prefilter, then full
+///    tile equality; the first record of a tile wins).
+///
+/// Persistence is the record file's (store/result_store.h): open() loads
+/// a file through store::ResultStore and attaches a store writer, so the
+/// library and the correction store share one format, one torn-tail
+/// contract and one refusal contract (STO001-STO004).
 ///
 /// Thread safety: none. The flow touches the library only from its serial
 /// phases; the daemon serializes access under the CorrectionLibrary mutex
@@ -25,33 +29,13 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pattern/feature.h"
 #include "store/result_store.h"
 
 namespace opckit::pat {
-
-/// One warm-start seed: a fragment evaluation site and the solved offset
-/// along the fragment's outward normal. The offset is a signed scalar in
-/// the normal direction, so it is invariant under the D4 frame maps the
-/// library stores entries in.
-struct WarmSeed {
-  geom::Point site;
-  geom::Coord offset = 0;
-
-  friend bool operator==(const WarmSeed&, const WarmSeed&) = default;
-};
-
-/// One library entry: the exact-replay tile record (canonical frame, as
-/// the correction store persists it) plus its warm-start seeds in the same
-/// canonical frame.
-struct LibraryRecord {
-  store::TileRecord tile;
-  std::vector<WarmSeed> seeds;
-
-  friend bool operator==(const LibraryRecord&, const LibraryRecord&) = default;
-};
 
 /// A retrieval result: which entry, and how far in feature space.
 struct NearMatch {
@@ -66,37 +50,32 @@ struct LibraryLoadInfo {
 };
 
 /// The pattern library. Default-constructed instances are memory-only;
-/// open() attaches a file that every insert() appends to. Move-only (it
-/// may own an append file descriptor); clone_memory() produces a
-/// detached, copy-safe snapshot for concurrent readers.
+/// open() attaches a record file that every insert() appends to.
+/// Move-only (it may own the file's writer); clone_memory() produces a
+/// detached snapshot for concurrent readers.
 class PatternLibrary {
  public:
-  PatternLibrary() = default;
-  PatternLibrary(PatternLibrary&&) noexcept;
-  PatternLibrary& operator=(PatternLibrary&&) noexcept;
-  PatternLibrary(const PatternLibrary&) = delete;
-  PatternLibrary& operator=(const PatternLibrary&) = delete;
-  ~PatternLibrary();
-
-  /// Open a file-backed library: load \p path if it exists (verifying the
-  /// magic, version, and \p fingerprint; recovering a torn tail) or
-  /// create it. Throws util::InputError on I/O failure or corruption.
+  /// Open a file-backed library: load \p path through store::ResultStore
+  /// if it exists (refusing per STO001-STO004, recovering a torn tail)
+  /// or create it, then append every insert to it. Throws
+  /// util::InputError on I/O failure or refusal; the file is untouched
+  /// when it is refused.
   static PatternLibrary open(const std::string& path,
                              std::uint64_t fingerprint,
                              bool sync_on_append = true);
 
   /// Insert an entry; appends to the attached file when file-backed.
-  /// Duplicates (tile identical to an existing entry) are dropped;
-  /// returns true when the entry was actually inserted.
-  bool insert(const LibraryRecord& rec);
+  /// A record whose tile is already present is dropped; returns true
+  /// when the entry was actually inserted.
+  bool insert(const store::TileRecord& rec);
 
   std::size_t size() const { return records_.size(); }
-  const LibraryRecord& record(std::size_t i) const { return records_[i]; }
+  const store::TileRecord& record(std::size_t i) const { return records_[i]; }
   const PatternFeature& feature(std::size_t i) const { return features_[i]; }
 
-  /// Nearest entry whose feature distance to \p query is <= \p budget,
-  /// or nullopt. Deterministic: exact distance comparison, ties broken
-  /// toward the smallest entry index.
+  /// Nearest seeded entry whose feature distance to \p query is <=
+  /// \p budget, or nullopt. Deterministic: exact distance comparison,
+  /// ties broken toward the smallest entry index.
   std::optional<NearMatch> nearest(const PatternFeature& query,
                                    double budget) const;
 
@@ -104,21 +83,21 @@ class PatternLibrary {
   const LibraryLoadInfo& load_info() const { return load_info_; }
 
   /// Detached memory-only copy of all entries and the index (no file
-  /// handle) — safe to share read-only across threads.
+  /// writer) — safe to share read-only across threads.
   PatternLibrary clone_memory() const;
 
  private:
-  std::vector<LibraryRecord> records_;
+  /// Index \p rec and keep it; no dedup, no file write.
+  void add(store::TileRecord rec, std::uint64_t window_hash);
+
+  std::vector<store::TileRecord> records_;
   std::vector<PatternFeature> features_;
-  /// (norm, index), sorted by norm then index — the pruned scan order.
+  /// (norm, index) of the seeded entries, sorted — the pruned scan order.
   std::vector<std::pair<double, std::size_t>> by_norm_;
-  /// Window-rect hashes as a dedup prefilter (same discipline as the
-  /// daemon's CorrectionLibrary).
-  std::vector<std::uint64_t> window_hashes_;
+  /// (window hash, index), sorted — the dedup prefilter.
+  std::vector<std::pair<std::uint64_t, std::size_t>> by_hash_;
   LibraryLoadInfo load_info_;
-  std::string path_;
-  int fd_ = -1;
-  bool sync_on_append_ = true;
+  std::optional<store::ResultStore> writer_;
 };
 
 }  // namespace opckit::pat

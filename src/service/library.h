@@ -5,10 +5,13 @@
 /// A single-process flow only reuses corrections within its own
 /// CorrectionCache (and, with a store, across its own restarts). The
 /// daemon instead keeps one shelf of solved pattern classes per flow
-/// fingerprint, feeds a snapshot into every job as FlowSpec::preload,
-/// and collects every fresh solve back through FlowSpec::record_sink —
-/// so the thousandth request for a repetitive layout family replays
-/// almost everything, regardless of which client submitted the first.
+/// fingerprint — one pat::PatternLibrary of records, each a tile plus
+/// its warm-start seeds — hands every job a snapshot of it as
+/// FlowSpec::library, and collects every fresh solve back through
+/// FlowSpec::record_sink. So the thousandth request for a repetitive
+/// layout family replays almost everything, regardless of which client
+/// submitted the first, and a job with a library_budget warm-starts its
+/// misses from the nearest seeded record.
 ///
 /// ## Why snapshots, not a shared cache
 ///
@@ -18,31 +21,28 @@
 /// by job A while job B runs simply miss B's snapshot and are re-solved
 /// — a bounded duplication cost, never a correctness issue, because
 /// replay is translation-exact: preloading more or fewer records cannot
-/// change any job's output bytes. add() deduplicates by full record
-/// equality, so the shelf converges to one record per pattern class.
+/// change any job's output bytes. add() deduplicates by tile (first
+/// wins), so the shelf converges to one record per pattern class.
 ///
 /// ## Durability and crash resume
 ///
 /// With a directory configured, each shelf is backed by
-/// `<dir>/<fingerprint-hex>.ocs` — the standard correction store format,
-/// fsynced per append (store::ResultStore sync_on_append) so a record
-/// acknowledged to any client survives a daemon crash. The first job
-/// under a fingerprint loads the existing file (torn tails recover per
-/// the store contract), which is exactly the daemon restart path: a new
-/// opcd over the same library directory replays everything its
-/// predecessor solved, byte-identical to an uninterrupted process.
-/// Fingerprint-keyed file names make cross-setup replay structurally
-/// impossible, on top of the store's own STO001 gate.
+/// `<dir>/<fingerprint-hex>.ocs` — the record file of
+/// store/result_store.h, fsynced per append (Options::sync_on_append) so
+/// a record acknowledged to any client survives a daemon crash. The
+/// first job under a fingerprint loads the existing file (torn tails
+/// recover per the store contract), which is exactly the daemon restart
+/// path: a new opcd over the same library directory replays everything
+/// its predecessor solved, byte-identical to an uninterrupted process.
+/// A file the store refuses (STO001-STO004) fails every job under that
+/// fingerprint and is never overwritten. Fingerprint-keyed file names
+/// make cross-setup replay structurally impossible, on top of the
+/// store's own STO001 gate.
 ///
-/// ## Near-match retrieval
-///
-/// Each shelf additionally keeps a pat::PatternLibrary — the same solves
-/// with their warm-start seeds, indexed in feature space — persisted to
-/// `<dir>/<fingerprint-hex>.ocl` alongside the .ocs file. Jobs that
-/// submit a library_budget > 0 get an immutable clone (FlowSpec::library)
-/// so tiles that miss exact replay can warm-start from the nearest
-/// solved pattern, and feed fresh solves back through
-/// FlowSpec::library_sink. Seeds survive restarts like the records do.
+/// The seeded records are also mirrored to `<dir>/<fingerprint-hex>.ocl`
+/// for readers that open a pattern-library file (the benchmark's library
+/// probes). The mirror is write-only for the daemon: it is rebuilt from
+/// the `.ocs` file when the shelf loads and is never read back.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +50,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "pattern/library.h"
 #include "store/result_store.h"
@@ -64,8 +62,9 @@ namespace opckit::svc {
 class CorrectionLibrary {
  public:
   struct Options {
-    /// Directory for the per-fingerprint .ocs files. Empty = memory-only
-    /// (no durability, no crash resume) — tests and throwaway servers.
+    /// Directory for the per-fingerprint record files. Empty =
+    /// memory-only (no durability, no crash resume) — tests and
+    /// throwaway servers.
     std::string dir;
     /// fsync per appended record (the daemon default). See
     /// store::ResultStore::sync_on_append.
@@ -74,52 +73,33 @@ class CorrectionLibrary {
 
   explicit CorrectionLibrary(Options opts) : opts_(std::move(opts)) {}
 
-  /// Copy of the shelf for \p fingerprint, loading its .ocs file on
-  /// first touch (the crash-resume path). The copy is the caller's to
-  /// keep alive for the duration of a run (FlowSpec::preload points at
+  /// Memory-only copy of the shelf for \p fingerprint, loading its .ocs
+  /// file on first touch (the crash-resume path); throws the store's
+  /// refusal when that file cannot be read. The copy is the caller's to
+  /// keep alive for the duration of a run (FlowSpec::library points at
   /// it).
-  std::vector<store::TileRecord> snapshot(std::uint64_t fingerprint);
+  pat::PatternLibrary snapshot(std::uint64_t fingerprint);
 
-  /// Insert one freshly solved record: deduplicated by full record
-  /// equality, appended (and fsynced, per Options) to the shelf's file.
-  /// Safe from concurrent jobs' merge phases.
+  /// Insert one freshly solved record: deduplicated by tile, appended
+  /// (and fsynced, per Options) to the shelf's file. Safe from
+  /// concurrent jobs' merge phases.
   void add(std::uint64_t fingerprint, const store::TileRecord& record);
 
   /// Records currently shelved for \p fingerprint (loads on first touch).
   std::size_t size(std::uint64_t fingerprint);
 
-  /// Immutable clone of the shelf's pattern library (near-match index +
-  /// warm-start seeds), loading its .ocl file on first touch. The clone
-  /// is the caller's to keep alive for a run (FlowSpec::library points
-  /// at it).
-  pat::PatternLibrary pattern_snapshot(std::uint64_t fingerprint);
-
-  /// Insert one freshly solved library record (exact-replay tile +
-  /// warm-start seeds): deduplicated by tile equality, appended (and
-  /// fsynced, per Options) to the shelf's .ocl file. Safe from
-  /// concurrent jobs' merge phases.
-  void add_pattern(std::uint64_t fingerprint, const pat::LibraryRecord& rec);
-
-  /// Pattern-library entries shelved for \p fingerprint.
-  std::size_t pattern_count(std::uint64_t fingerprint);
-
   /// The backing .ocs file for \p fingerprint; empty when memory-only.
   std::string path_for(std::uint64_t fingerprint) const;
 
-  /// The backing .ocl pattern-library file; empty when memory-only.
-  std::string pattern_path_for(std::uint64_t fingerprint) const;
-
  private:
   struct Shelf {
-    std::vector<store::TileRecord> records;
-    /// window-geometry hash -> record indices (dedup prefilter).
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_hash;
-    std::optional<store::ResultStore> store;
-    /// Near-match retrieval index (file-backed under Options::dir).
-    pat::PatternLibrary patterns;
+    pat::PatternLibrary records;
+    /// The `.ocl` mirror of the seeded records (directory mode only).
+    std::optional<store::ResultStore> mirror;
   };
 
-  /// Get-or-load the shelf. Caller holds mutex_.
+  /// Get-or-load the shelf; nothing is kept when the load throws. Caller
+  /// holds mutex_.
   Shelf& shelf_locked(std::uint64_t fingerprint);
 
   Options opts_;

@@ -10,11 +10,11 @@
 ///   u16    message type (MsgType)
 ///   u32    payload length L  (<= kMaxPayloadBytes)
 /// u8[L]    payload — per-message encoding, see the *Msg structs
-/// u32      crc32(payload)    — IEEE 802.3, the .ocs store polynomial
+/// u32      crc32(payload)    — IEEE 802.3 (util::crc32)
 /// ```
 ///
-/// The framing reuses the correction store's integrity discipline
-/// (store::store_detail::crc32, explicit little-endian fields,
+/// The framing reuses the record file's integrity discipline and its
+/// byte codec (util/bytes.h: CRC-32, explicit little-endian fields,
 /// bounds-checked decoding): a daemon that trusts bytes off a socket
 /// has exactly the store's threat model — torn writes, truncation,
 /// corruption — plus hostile peers, so every validation failure maps to

@@ -235,30 +235,20 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
     const char* kind = job->msg.flow == 1 ? "cell" : "flat";
 
     // The daemon owns durability through the shared library, never
-    // through a per-job store or pattern-library file — two concurrent
-    // jobs with equal fingerprints must not append to one file from two
-    // caches. library_path is cleared BEFORE fingerprinting so the shelf
-    // key depends on the solver knobs (library_budget included), not on
-    // whatever path the client happened to name.
+    // through a per-job record file — two concurrent jobs with equal
+    // fingerprints must not append to one file from two caches. Specs
+    // off the wire carry no file paths (core/flow_codec.h); the store
+    // knobs are reset anyway so the daemon never writes where a job says.
     spec.store_path.clear();
     spec.resume = false;
-    spec.store_sync = false;
-    spec.library_path.clear();
     const std::uint64_t fp = opc::flow_fingerprint(spec, kind);
 
-    const std::vector<store::TileRecord> shelf = library_.snapshot(fp);
-    if (spec.cache && !shelf.empty()) spec.preload = &shelf;
-    pat::PatternLibrary patterns;
-    if (spec.cache && spec.library_budget > 0.0) {
-      patterns = library_.pattern_snapshot(fp);
-      if (patterns.size() > 0) spec.library = &patterns;
-    }
+    const pat::PatternLibrary shelf =
+        spec.cache ? library_.snapshot(fp) : pat::PatternLibrary();
     if (spec.cache) {
+      spec.library = &shelf;
       spec.record_sink = [this, fp](const store::TileRecord& rec) {
         library_.add(fp, rec);
-      };
-      spec.library_sink = [this, fp](const pat::LibraryRecord& rec) {
-        library_.add_pattern(fp, rec);
       };
     }
     spec.cancel = &job->cancel;

@@ -1,107 +1,126 @@
 #include "store/result_store.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
 #include "trace/metrics.h"
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace opckit::store {
 namespace {
 
-constexpr std::array<std::uint8_t, 8> kMagic = {'O', 'P', 'C', 'K',
-                                               'I', 'T', 'S', '1'};
-constexpr std::uint32_t kVersion = 1;
+using Magic = std::array<std::uint8_t, 8>;
+constexpr Magic kMagic = {'O', 'P', 'C', 'K', 'I', 'T', 'S', '1'};
+/// Version-1 pattern libraries carried their own magic.
+constexpr Magic kLibraryV1Magic = {'O', 'P', 'C', 'K', 'I', 'T', 'L', '1'};
+constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 4;
 constexpr std::size_t kRectBytes = 4 * 8;
 constexpr std::size_t kPointBytes = 2 * 8;
+constexpr std::size_t kSeedBytes = 3 * 8;
 
-// ---- serialization primitives (explicit little-endian) ----------------
+// ---- record payload ---------------------------------------------------
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
+void put_rect(util::ByteWriter& w, const geom::Rect& r) {
+  w.i64(r.lo.x);
+  w.i64(r.lo.y);
+  w.i64(r.hi.x);
+  w.i64(r.hi.y);
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFu));
+geom::Rect read_rect(util::ByteReader& r) {
+  geom::Rect rect;
+  rect.lo.x = r.i64();
+  rect.lo.y = r.i64();
+  rect.hi.x = r.i64();
+  rect.hi.y = r.i64();
+  return rect;
 }
 
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
+std::vector<std::uint8_t> encode_record(const TileRecord& record) {
+  std::vector<std::uint8_t> out;
+  util::ByteWriter w(out);
+  w.u8(static_cast<std::uint8_t>(record.orientation));
+  put_rect(w, record.frame);
+  w.u32(static_cast<std::uint32_t>(record.window_rects.size()));
+  for (const auto& r : record.window_rects) put_rect(w, r);
+  w.u32(static_cast<std::uint32_t>(record.own_rects.size()));
+  for (const auto& r : record.own_rects) put_rect(w, r);
+  w.u32(static_cast<std::uint32_t>(record.solution.size()));
+  for (const auto& poly : record.solution) {
+    w.u32(static_cast<std::uint32_t>(poly.ring().size()));
+    for (const auto& v : poly.ring()) {
+      w.i64(v.x);
+      w.i64(v.y);
+    }
+  }
+  w.u32(static_cast<std::uint32_t>(record.seeds.size()));
+  for (const WarmSeed& s : record.seeds) {
+    w.i64(s.site.x);
+    w.i64(s.site.y);
+    w.i64(s.offset);
+  }
+  return out;
 }
 
-void put_rect(std::vector<std::uint8_t>& out, const geom::Rect& r) {
-  put_i64(out, r.lo.x);
-  put_i64(out, r.lo.y);
-  put_i64(out, r.hi.x);
-  put_i64(out, r.hi.y);
+/// Thrown by the payload reader; decode_record turns it into `false`.
+struct Malformed {};
+void malformed(const std::string&) { throw Malformed{}; }
+
+/// Parse one record payload (the inverse of encode_record); false on any
+/// structural violation — truncated field, count past the bytes present,
+/// trailing bytes.
+bool decode_record(const std::uint8_t* data, std::size_t size,
+                   TileRecord& rec) {
+  util::ByteReader r(data, size, malformed);
+  // Every count is checked against the bytes present before the resize,
+  // so a corrupt count cannot allocate unboundedly.
+  auto counted = [&r](std::size_t min_bytes_each) {
+    const std::uint32_t n = r.u32();
+    r.need(static_cast<std::uint64_t>(n) * min_bytes_each, "count");
+    return n;
+  };
+  try {
+    const std::uint8_t orient = r.u8();
+    if (orient >= geom::kOrientationCount) return false;
+    rec.orientation = static_cast<geom::Orientation>(orient);
+    rec.frame = read_rect(r);
+    for (auto* rects : {&rec.window_rects, &rec.own_rects}) {
+      rects->resize(counted(kRectBytes));
+      for (auto& rect : *rects) rect = read_rect(r);
+    }
+    // Each polygon costs at least its vertex count.
+    rec.solution.resize(counted(4));
+    for (auto& poly : rec.solution) {
+      std::vector<geom::Point> ring(counted(kPointBytes));
+      for (auto& v : ring) {
+        v.x = r.i64();
+        v.y = r.i64();
+      }
+      poly = geom::Polygon(std::move(ring));
+    }
+    rec.seeds.resize(counted(kSeedBytes));
+    for (WarmSeed& s : rec.seeds) {
+      s.site.x = r.i64();
+      s.site.y = r.i64();
+      s.offset = r.i64();
+    }
+    // Trailing bytes after a well-formed record are corruption too.
+    return r.remaining() == 0;
+  } catch (const Malformed&) {
+    return false;
+  }
 }
-
-/// Bounds-checked cursor over an in-memory byte range. Every accessor
-/// reports failure instead of reading past the end, so corrupt counts
-/// can never drive an out-of-range access.
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  std::size_t remaining() const { return size_ - pos_; }
-  std::size_t pos() const { return pos_; }
-
-  bool read_u32(std::uint32_t& v) {
-    if (remaining() < 4) return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(
-                                                      i)])
-           << (8 * i);
-    pos_ += 4;
-    return true;
-  }
-
-  bool read_u64(std::uint64_t& v) {
-    if (remaining() < 8) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(
-                                                      i)])
-           << (8 * i);
-    pos_ += 8;
-    return true;
-  }
-
-  bool read_i64(std::int64_t& v) {
-    std::uint64_t u = 0;
-    if (!read_u64(u)) return false;
-    v = static_cast<std::int64_t>(u);
-    return true;
-  }
-
-  bool read_u8(std::uint8_t& v) {
-    if (remaining() < 1) return false;
-    v = data_[pos_++];
-    return true;
-  }
-
-  bool read_rect(geom::Rect& r) {
-    return read_i64(r.lo.x) && read_i64(r.lo.y) && read_i64(r.hi.x) &&
-           read_i64(r.hi.y);
-  }
-
- private:
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
 
 // ---- diagnostics ------------------------------------------------------
 
@@ -120,172 +139,52 @@ lint::Diagnostic make_diag(std::string_view code, std::string message) {
   lint::Diagnostic d = make_diag(code, message);
   std::string line = d.to_line();
   if (report) report->add(std::move(d));
-  throw util::InputError("correction store: " + line);
+  throw util::InputError("record file: " + line);
 }
 
 }  // namespace
 
-namespace store_detail {
-
-// ---- record payload parsing -------------------------------------------
-
-bool decode_record(const std::uint8_t* data, std::size_t size,
-                   TileRecord& rec) {
-  Reader r(data, size);
-  std::uint8_t orient = 0;
-  if (!r.read_u8(orient) || orient >= geom::kOrientationCount) return false;
-  rec.orientation = static_cast<geom::Orientation>(orient);
-  if (!r.read_rect(rec.frame)) return false;
-
-  auto read_rects = [&r](std::vector<geom::Rect>& out) {
-    std::uint32_t n = 0;
-    if (!r.read_u32(n)) return false;
-    if (r.remaining() < static_cast<std::uint64_t>(n) * kRectBytes)
-      return false;
-    out.resize(n);
-    for (auto& rect : out)
-      if (!r.read_rect(rect)) return false;
-    return true;
-  };
-  if (!read_rects(rec.window_rects)) return false;
-  if (!read_rects(rec.own_rects)) return false;
-
-  std::uint32_t n_polys = 0;
-  if (!r.read_u32(n_polys)) return false;
-  // Each polygon costs at least a vertex count; cheap pre-check before
-  // the resize so a corrupt count cannot allocate unboundedly.
-  if (r.remaining() < static_cast<std::uint64_t>(n_polys) * 4) return false;
-  rec.solution.clear();
-  rec.solution.reserve(n_polys);
-  for (std::uint32_t p = 0; p < n_polys; ++p) {
-    std::uint32_t n_verts = 0;
-    if (!r.read_u32(n_verts)) return false;
-    if (r.remaining() < static_cast<std::uint64_t>(n_verts) * kPointBytes)
-      return false;
-    std::vector<geom::Point> ring(n_verts);
-    for (auto& v : ring)
-      if (!r.read_i64(v.x) || !r.read_i64(v.y)) return false;
-    rec.solution.emplace_back(std::move(ring));
-  }
-  // Trailing bytes after a well-formed record are corruption too.
-  return r.remaining() == 0;
+bool same_tile(const TileRecord& a, const TileRecord& b) {
+  return a.window_rects == b.window_rects && a.own_rects == b.own_rects &&
+         a.frame == b.frame && a.orientation == b.orientation &&
+         a.solution == b.solution;
 }
 
-}  // namespace store_detail
-
-namespace {
-
-// ---- POSIX writer plumbing (EINTR-safe) -------------------------------
-
-int open_writer_fd(const std::string& path, int flags) {
-  int fd = -1;
-  do {
-    fd = ::open(path.c_str(), flags, 0644);
-  } while (fd < 0 && errno == EINTR);
-  if (fd < 0)
-    throw util::InputError("correction store: cannot open '" + path +
+ResultStore::ResultStore(std::string path, const char* mode,
+                         bool sync_on_append)
+    : path_(std::move(path)),
+      file_(std::fopen(path_.c_str(), mode)),
+      sync_on_append_(sync_on_append) {
+  if (!file_)
+    throw util::InputError("record file: cannot open '" + path_ +
                            "' for writing: " + std::strerror(errno));
-  return fd;
+  // Unbuffered: every fwrite() below is one write(), so a crash tears at
+  // most the record in flight.
+  std::setvbuf(file_.get(), nullptr, _IONBF, 0);
 }
 
-void write_all_fd(int fd, const std::uint8_t* data, std::size_t size,
-                  const std::string& path) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw util::InputError("correction store: write failed on '" + path +
-                             "': " + std::strerror(errno));
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-}
-
-}  // namespace
-
-namespace store_detail {
-
-std::uint32_t crc32(const void* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < size; ++i)
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
-}
-
-std::vector<std::uint8_t> encode_record(const TileRecord& record) {
-  std::vector<std::uint8_t> out;
-  out.push_back(static_cast<std::uint8_t>(record.orientation));
-  put_rect(out, record.frame);
-  put_u32(out, static_cast<std::uint32_t>(record.window_rects.size()));
-  for (const auto& r : record.window_rects) put_rect(out, r);
-  put_u32(out, static_cast<std::uint32_t>(record.own_rects.size()));
-  for (const auto& r : record.own_rects) put_rect(out, r);
-  put_u32(out, static_cast<std::uint32_t>(record.solution.size()));
-  for (const auto& poly : record.solution) {
-    put_u32(out, static_cast<std::uint32_t>(poly.ring().size()));
-    for (const auto& v : poly.ring()) {
-      put_i64(out, v.x);
-      put_i64(out, v.y);
-    }
-  }
-  return out;
-}
-
-}  // namespace store_detail
-
-ResultStore::ResultStore(ResultStore&& other) noexcept
-    : path_(std::move(other.path_)),
-      fd_(std::exchange(other.fd_, -1)),
-      sync_on_append_(other.sync_on_append_),
-      appended_(other.appended_),
-      synced_(other.synced_) {}
-
-ResultStore& ResultStore::operator=(ResultStore&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    path_ = std::move(other.path_);
-    fd_ = std::exchange(other.fd_, -1);
-    sync_on_append_ = other.sync_on_append_;
-    appended_ = other.appended_;
-    synced_ = other.synced_;
-  }
-  return *this;
-}
-
-ResultStore::~ResultStore() {
-  if (fd_ >= 0) ::close(fd_);
+void ResultStore::write(const std::vector<std::uint8_t>& bytes) {
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file_.get()) != bytes.size())
+    throw util::InputError("record file: write failed on '" + path_ +
+                           "': " + std::strerror(errno));
 }
 
 ResultStore ResultStore::create(const std::string& path,
                                 std::uint64_t fingerprint,
                                 bool sync_on_append) {
   std::vector<std::uint8_t> header;
-  header.insert(header.end(), kMagic.begin(), kMagic.end());
-  put_u32(header, kVersion);
-  put_u64(header, fingerprint);
-  put_u32(header, store_detail::crc32(header.data(), header.size()));
+  util::ByteWriter w(header);
+  w.bytes(kMagic.data(), kMagic.size());
+  w.u32(kVersion);
+  w.u64(fingerprint);
+  w.u32(util::crc32(header.data(), header.size()));
   OPCKIT_DCHECK(header.size() == kHeaderSize);
 
-  ResultStore store(path,
-                    open_writer_fd(path, O_WRONLY | O_CREAT | O_TRUNC |
-                                             O_CLOEXEC),
-                    sync_on_append);
-  // The header is not fsynced here even in sync mode: fsync flushes the
-  // whole file, so the first record's sync covers it, and an empty store
-  // that vanishes in a crash costs nothing to recreate.
-  write_all_fd(store.fd_, header.data(), header.size(), path);
+  // "e": O_CLOEXEC. The header is not fsynced here even in sync mode:
+  // fsync flushes the whole file, so the first record's sync covers it,
+  // and an empty file that vanishes in a crash costs nothing to recreate.
+  ResultStore store(path, "wbe", sync_on_append);
+  store.write(header);
   return store;
 }
 
@@ -297,11 +196,9 @@ ResultStore ResultStore::append_to(const std::string& path,
   std::error_code ec;
   std::filesystem::resize_file(path, valid_bytes, ec);
   if (ec)
-    throw util::InputError("correction store: cannot truncate '" + path +
+    throw util::InputError("record file: cannot truncate '" + path +
                            "' to its valid prefix: " + ec.message());
-  return ResultStore(
-      path, open_writer_fd(path, O_WRONLY | O_APPEND | O_CLOEXEC),
-      sync_on_append);
+  return ResultStore(path, "abe", sync_on_append);
 }
 
 LoadResult ResultStore::load(const std::string& path,
@@ -309,37 +206,54 @@ LoadResult ResultStore::load(const std::string& path,
                              lint::LintReport* report) {
   std::ifstream in(path, std::ios::binary);
   if (!in)
-    throw util::InputError("correction store: cannot open '" + path + "'");
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
+    throw util::InputError("record file: cannot open '" + path + "'");
+  const std::vector<std::uint8_t> bytes(
+      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   in.close();
+  // The reader is only ever asked for bytes the checks below proved
+  // present.
+  auto unreachable = [](const std::string& what) {
+    OPCKIT_CHECK_MSG(false, "record file reader: " << what);
+  };
 
   // ---- header ----
   if (bytes.size() < kHeaderSize)
     refuse(report, "STO003",
-           "'" + path + "' is too short to hold a store header (" +
+           "'" + path + "' is too short to hold a record-file header (" +
                std::to_string(bytes.size()) + " bytes)");
+  if (std::equal(kLibraryV1Magic.begin(), kLibraryV1Magic.end(),
+                 bytes.begin()))
+    refuse(report, "STO003",
+           "'" + path + "' is a version-1 pattern library (OPCKITL1); "
+                        "this build reads record-file version " +
+               std::to_string(kVersion) + " — delete it to rebuild");
   if (!std::equal(kMagic.begin(), kMagic.end(), bytes.begin()))
     refuse(report, "STO003",
            "'" + path + "' does not start with the OPCKITS1 magic");
-  Reader hdr(bytes.data() + kMagic.size(), kHeaderSize - kMagic.size());
-  std::uint32_t version = 0, header_crc = 0;
-  std::uint64_t fingerprint = 0;
-  hdr.read_u32(version);
-  hdr.read_u64(fingerprint);
-  hdr.read_u32(header_crc);
-  if (store_detail::crc32(bytes.data(), kHeaderSize - 4) != header_crc)
+  util::ByteReader hdr(bytes.data() + kMagic.size(),
+                       kHeaderSize - kMagic.size(), unreachable);
+  const std::uint32_t version = hdr.u32();
+  const std::uint64_t fingerprint = hdr.u64();
+  const std::uint32_t header_crc = hdr.u32();
+  if (util::crc32(bytes.data(), kHeaderSize - 4) != header_crc)
     refuse(report, "STO003", "'" + path + "' header checksum mismatch");
+  if (version == 1)
+    refuse(report, "STO003",
+           "'" + path + "' is a version-1 correction store (.ocs without "
+                        "seeds); this build reads record-file version " +
+               std::to_string(kVersion) + " — delete it to rebuild");
   if (version != kVersion)
     refuse(report, "STO003",
-           "'" + path + "' has store version " + std::to_string(version) +
-               "; this build reads version " + std::to_string(kVersion));
+           "'" + path + "' has record-file version " +
+               std::to_string(version) + "; this build reads version " +
+               std::to_string(kVersion));
   if (fingerprint != expected_fingerprint) {
     std::ostringstream os;
     os << "'" << path << "' was written under a different process setup "
-       << "(store fingerprint " << std::hex << fingerprint << ", expected "
+       << "(fingerprint " << std::hex << fingerprint << ", expected "
        << expected_fingerprint << std::dec
-       << "); refusing to replay — rerun without --resume to rebuild it";
+       << "); refusing to replay — delete it or rerun without --resume "
+          "to rebuild it";
     refuse(report, "STO001", os.str());
   }
 
@@ -348,50 +262,41 @@ LoadResult ResultStore::load(const std::string& path,
   std::size_t pos = kHeaderSize;
   result.valid_bytes = pos;
   while (pos < bytes.size()) {
-    std::size_t rem = bytes.size() - pos;
-    std::uint32_t len = 0;
-    bool torn = rem < 4;
-    if (!torn) {
-      Reader lr(bytes.data() + pos, 4);
-      lr.read_u32(len);
-      // A length that runs past EOF is an interrupted write, not
-      // corruption — the CRC that would vouch for it was never written.
-      torn = static_cast<std::uint64_t>(len) + 8 > rem;
-    }
-    if (torn) {
+    const std::size_t rem = bytes.size() - pos;
+    util::ByteReader r(bytes.data() + pos, rem, unreachable);
+    const std::uint32_t len = rem < 4 ? 0 : r.u32();
+    // A length that runs past EOF is an interrupted write, not
+    // corruption — the CRC that would vouch for it was never written.
+    if (rem < 4 || static_cast<std::uint64_t>(len) + 4 > r.remaining()) {
       result.tail_recovered = true;
       trace::metrics()
           .counter(trace::metric::kStoreRecoveredTailBytes)
           .add(rem);
-      lint::Diagnostic d = make_diag(
-          "STO002", "'" + path + "' ends inside a record (torn write); "
-                        "dropped " +
-                        std::to_string(rem) + " tail bytes, kept " +
-                        std::to_string(result.records.size()) +
-                        " whole records");
-      if (report) report->add(std::move(d));
+      if (report)
+        report->add(make_diag(
+            "STO002", "'" + path + "' ends inside a record (torn write); "
+                                   "dropped " +
+                          std::to_string(rem) + " tail bytes, kept " +
+                          std::to_string(result.records.size()) +
+                          " whole records"));
       break;
     }
-    const std::uint8_t* payload = bytes.data() + pos + 4;
-    std::uint32_t stored_crc = 0;
-    Reader cr(payload + len, 4);
-    cr.read_u32(stored_crc);
-    if (store_detail::crc32(payload, len) != stored_crc)
+    const std::uint8_t* payload = r.take(len, "payload");
+    const std::uint32_t stored_crc = r.u32();
+    const std::string which = "'" + path + "' record " +
+                              std::to_string(result.records.size());
+    if (util::crc32(payload, len) != stored_crc)
       refuse(report, "STO004",
-             "'" + path + "' record " +
-                 std::to_string(result.records.size()) +
-                 " fails its checksum; the store is corrupt — delete it "
-                 "and rerun without --resume");
+             which + " fails its checksum; the file is corrupt — delete "
+                     "it and rerun without --resume");
     TileRecord rec;
-    if (!store_detail::decode_record(payload, len, rec))
+    if (!decode_record(payload, len, rec))
       refuse(report, "STO004",
-             "'" + path + "' record " +
-                 std::to_string(result.records.size()) +
-                 " is structurally malformed despite a valid checksum; "
-                 "the store is corrupt — delete it and rerun without "
-                 "--resume");
+             which + " is structurally malformed despite a valid "
+                     "checksum; the file is corrupt — delete it and rerun "
+                     "without --resume");
     result.records.push_back(std::move(rec));
-    pos += 4 + static_cast<std::size_t>(len) + 4;
+    pos += 8 + static_cast<std::size_t>(len);
     result.valid_bytes = pos;
   }
   trace::metrics()
@@ -401,18 +306,19 @@ LoadResult ResultStore::load(const std::string& path,
 }
 
 void ResultStore::append(const TileRecord& record) {
-  std::vector<std::uint8_t> payload = store_detail::encode_record(record);
+  const std::vector<std::uint8_t> payload = encode_record(record);
   std::vector<std::uint8_t> framed;
   framed.reserve(payload.size() + 8);
-  put_u32(framed, static_cast<std::uint32_t>(payload.size()));
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  put_u32(framed, store_detail::crc32(payload.data(), payload.size()));
-  // One unbuffered write per record: a crash costs at most the record
-  // being written, which the next load recovers as a torn tail.
-  write_all_fd(fd_, framed.data(), framed.size(), path_);
+  util::ByteWriter w(framed);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.bytes(payload.data(), payload.size());
+  w.u32(util::crc32(payload.data(), payload.size()));
+  // One write per record: a crash costs at most the record being
+  // written, which the next load recovers as a torn tail.
+  write(framed);
   if (sync_on_append_) {
-    if (::fsync(fd_) != 0)
-      throw util::InputError("correction store: fsync failed on '" + path_ +
+    if (::fsync(::fileno(file_.get())) != 0)
+      throw util::InputError("record file: fsync failed on '" + path_ +
                              "': " + std::strerror(errno));
     ++synced_;
   }

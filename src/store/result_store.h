@@ -15,22 +15,39 @@
 /// context changed simply miss the preloaded entries and are re-solved;
 /// invalidation is key-exact, never heuristic.
 ///
-/// ## File format (version 1, little-endian)
+/// The same file also backs the pattern library (pattern/library.h):
+/// there is one record — a solved tile plus optional warm-start seeds —
+/// and one record file. `.ocs` and `.ocl` are names only; ResultStore is
+/// the one reader and writer of both.
+///
+/// ## File format (version 2, little-endian)
 ///
 /// ```
 /// header  (24 bytes)
-///   u8[8]  magic  "OPCKITS1"
-///   u32    version (1)
+///   u8[8]  magic  "OPCKITS1"  — the family tag; the version is below
+///   u32    version (2)
 ///   u64    fingerprint   — hash of every process knob replay depends on
 ///                          (optical model, OPC recipe, flow shape); see
-///                          opc::flow_fingerprint. A store written under
+///                          opc::flow_fingerprint. A file written under
 ///                          one setup must refuse replay under another.
 ///   u32    crc32 of the 20 bytes above
 /// record  (repeated; one solved pattern class, canonical frame)
 ///   u32    payload length L
-///   u8[L]  payload        — TileRecord serialization (see .cpp)
+///   u8[L]  payload:
+///            u8     witness orientation
+///            rect   simulation frame            (rect = 4 x i64)
+///            u32 n, rect[n]   window geometry
+///            u32 n, rect[n]   ownership split
+///            u32 n, { u32 m, (i64 x, i64 y)[m] }[n]   solution rings
+///            u32 n, (i64 x, i64 y, i64 offset)[n]     warm-start seeds
 ///   u32    crc32(payload)
 /// ```
+///
+/// Version 1 split this into two formats: `.ocs` stores (magic OPCKITS1)
+/// without seeds and `.ocl` libraries (magic OPCKITL1) with a nested
+/// tile payload. Both are refused with STO003 naming the old format
+/// rather than read: every version-1 file carries a fingerprint from
+/// before kImagingEngineRevision 1, so it would fail STO001 anyway.
 ///
 /// ## Integrity contract
 ///
@@ -40,12 +57,13 @@
 /// * A *torn tail* (file ends inside a record: a crash mid-write) is
 ///   recovered on load: the partial record is dropped, the valid prefix
 ///   is kept, and append_to() truncates the file back to it (STO002,
-///   warning). Losing the last tile re-solves one tile; losing the store
+///   warning). Losing the last tile re-solves one tile; losing the file
 ///   re-solves the chip.
 /// * Any *complete* record whose CRC or structure does not verify is
 ///   corruption, not a torn write: the load refuses (STO004). Same for a
-///   malformed header (STO003) and a fingerprint mismatch (STO001) —
-///   a store is never silently replayed into the wrong process setup.
+///   malformed header or unknown version (STO003) and a fingerprint
+///   mismatch (STO001) — a record file is never silently replayed into
+///   the wrong process setup.
 /// * Load-or-refuse is deterministic and allocation-bounded: lengths and
 ///   element counts are validated against the bytes actually present
 ///   before anything is allocated, so a corrupt file can never crash or
@@ -53,7 +71,8 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,11 +83,24 @@
 
 namespace opckit::store {
 
+/// One warm-start seed: a fragment evaluation site and the solved offset
+/// along the fragment's outward normal. The offset is a signed scalar in
+/// the normal direction, so it is invariant under the D4 frame maps the
+/// records are stored in.
+struct WarmSeed {
+  geom::Point site;
+  geom::Coord offset = 0;
+
+  friend bool operator==(const WarmSeed&, const WarmSeed&) = default;
+};
+
 /// One persisted pattern class: the canonical-frame identity the
 /// correction cache keys on (window geometry, ownership split, simulation
-/// frame, witness orientation) plus the solved correction polygons in the
-/// same canonical frame. Field-for-field the cache's Entry — see
-/// opc::CorrectionCache::export_entry / import_entry.
+/// frame, witness orientation), the solved correction polygons in the
+/// same canonical frame, and — for model-OPC solves — the per-fragment
+/// warm-start seeds the pattern library retrieves by similarity. The
+/// tile fields are the cache's Entry, field for field (see
+/// opc::CorrectionCache::export_entry / import_entry).
 struct TileRecord {
   std::vector<geom::Rect> window_rects;  ///< canonical window geometry
   std::vector<geom::Rect> own_rects;     ///< canonical ownership split
@@ -76,11 +108,19 @@ struct TileRecord {
   geom::Orientation orientation =        ///< representative's witness
       geom::Orientation::kR0;
   std::vector<geom::Polygon> solution;   ///< corrected own, canonical frame
+  /// Canonical-frame seeds; empty for ILT solves, which carry no
+  /// fragment offsets to warm-start from.
+  std::vector<WarmSeed> seeds;
 
   friend bool operator==(const TileRecord&, const TileRecord&) = default;
 };
 
-/// Result of loading a store file.
+/// True when \p a and \p b describe the same solved tile — every field
+/// but the seeds. Two records of one tile are one pattern class, whatever
+/// seeds they carry.
+bool same_tile(const TileRecord& a, const TileRecord& b);
+
+/// Result of loading a record file.
 struct LoadResult {
   std::vector<TileRecord> records;  ///< every whole, verified record
   /// True when the file ended inside a record (torn write); the partial
@@ -91,13 +131,13 @@ struct LoadResult {
   std::uint64_t valid_bytes = 0;
 };
 
-/// Append handle on a correction-store file. Obtain via create() (fresh
+/// Append handle on a record file. Obtain via create() (fresh
 /// file) or append_to() (extend a loaded file); append() writes and
 /// flushes one record. Move-only.
 ///
-/// The writer is a raw POSIX descriptor, not an iostream: each record is
-/// one unbuffered write() (a crash can tear at most the record in
-/// flight), and \p sync_on_append upgrades that to write() + fsync().
+/// The writer is an unbuffered stdio stream: each record is one write()
+/// (a crash can tear at most the record in flight), and
+/// \p sync_on_append upgrades that to write() + fsync().
 /// The upgrade is opt-in and OFF by default — batch flows are served by
 /// the torn-tail contract (a crash re-solves one tile) and per-record
 /// fsync is a large constant cost, but the service daemon's durability
@@ -106,7 +146,7 @@ struct LoadResult {
 /// is acknowledged to the client.
 class ResultStore {
  public:
-  /// Create (truncate) \p path and write a version-1 header carrying
+  /// Create (truncate) \p path and write a version-2 header carrying
   /// \p fingerprint. Throws util::InputError on I/O failure.
   static ResultStore create(const std::string& path,
                             std::uint64_t fingerprint,
@@ -143,33 +183,21 @@ class ResultStore {
   /// honored without instrumenting the kernel.
   std::size_t synced() const { return synced_; }
 
-  ResultStore(ResultStore&& other) noexcept;
-  ResultStore& operator=(ResultStore&& other) noexcept;
-  ~ResultStore();
-
  private:
-  ResultStore(std::string path, int fd, bool sync_on_append)
-      : path_(std::move(path)), fd_(fd), sync_on_append_(sync_on_append) {}
+  /// Opens \p path with fopen() \p mode; throws util::InputError.
+  ResultStore(std::string path, const char* mode, bool sync_on_append);
+  /// Writes all of \p bytes in one write(); throws util::InputError.
+  void write(const std::vector<std::uint8_t>& bytes);
+
+  struct Close {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
 
   std::string path_;
-  int fd_ = -1;
+  std::unique_ptr<std::FILE, Close> file_;
   bool sync_on_append_ = false;
   std::size_t appended_ = 0;
   std::size_t synced_ = 0;
 };
-
-namespace store_detail {
-/// CRC-32 (IEEE 802.3, reflected) over a byte range; exposed for the
-/// corrupt-file corpus tests, which must forge valid checksums.
-std::uint32_t crc32(const void* data, std::size_t size);
-/// Serialize one record to the payload byte layout (exposed for tests).
-std::vector<std::uint8_t> encode_record(const TileRecord& record);
-/// Parse one record payload (the inverse of encode_record); returns false
-/// on any structural violation — truncated field, count past the bytes
-/// present, trailing bytes. Exposed so other persistence layers (the
-/// pattern library) can embed the record layout under their own framing.
-bool decode_record(const std::uint8_t* data, std::size_t size,
-                   TileRecord& rec);
-}  // namespace store_detail
 
 }  // namespace opckit::store

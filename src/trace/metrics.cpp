@@ -40,11 +40,11 @@ constexpr std::array kMetricTable = {
     MetricInfo{metric::kCacheConflicts, MetricKind::kCounter,
                "correction-cache collisions/ownership mismatches"},
     MetricInfo{metric::kStoreRecordsAppended, MetricKind::kCounter,
-               "pattern-class records appended to a correction store"},
+               "records appended to a record file (.ocs/.ocl)"},
     MetricInfo{metric::kStoreRecordsLoaded, MetricKind::kCounter,
-               "records imported from a correction store on resume"},
+               "records loaded from a record file (.ocs/.ocl)"},
     MetricInfo{metric::kStoreRecoveredTailBytes, MetricKind::kCounter,
-               "torn-tail bytes dropped by store crash recovery (STO002)"},
+               "torn-tail bytes dropped by record-file recovery (STO002)"},
     MetricInfo{metric::kLithoAerialImages, MetricKind::kCounter,
                "aerial images computed (Abbe or SOCS imaging engine)"},
     MetricInfo{metric::kLithoFft2dTransforms, MetricKind::kCounter,

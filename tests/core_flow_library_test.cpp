@@ -1,8 +1,9 @@
 /// Dispatch-policy tests for the persistent pattern library
 /// (FlowSpec::library_path / library_budget): exact hits replay
 /// byte-identically at any jobs value, near hits warm-start the solver,
-/// misses solve cold and accumulate, and the daemon hooks (shared
-/// snapshot + sink) mirror the file-backed path. Runs under ASan/UBSan
+/// misses solve cold and accumulate, a library stays valid wherever its
+/// file lives, and the daemon hooks (in-memory library + record sink)
+/// mirror the file-backed path. Runs under ASan/UBSan
 /// and TSan in CI (label `pat`).
 #include <gtest/gtest.h>
 
@@ -69,7 +70,7 @@ std::string lib_path(const std::string& name) {
 }
 
 TEST(FlowLibrary, LibraryRequiresCache) {
-  for (const char* hook : {"library_path", "library", "library_sink"}) {
+  for (const char* hook : {"library_path", "library"}) {
     testing_hooks::expect_hook_requires_cache(hook, fast_flow(),
                                               [] { return iso_chip(); });
   }
@@ -216,20 +217,20 @@ TEST(FlowLibrary, WarmStartedFlowIsDeterministicAcrossJobs) {
   Library cold = dense_chip();
   const FlowStats seed_stats = run_flat_opc(cold, "top", spec);
   ASSERT_GT(seed_stats.library_entries_appended, 1u);
-  // Stash the seeded library; warm runs append, so each jobs value must
-  // start from identical bytes (the path stays fixed — it is mixed into
-  // the fingerprint the file carries).
+  // Stash the seeded library; warm runs append, so each jobs value
+  // starts from its own copy of the same bytes.
   const std::string stash = lib_path("flowlib_jobs.stash");
   std::filesystem::copy_file(spec.library_path, stash);
 
   std::vector<geom::Polygon> ref_out;
   FlowStats ref_stats;
   for (int jobs : {1, 8}) {
-    std::filesystem::copy_file(
-        stash, spec.library_path,
-        std::filesystem::copy_options::overwrite_existing);
+    const std::string copy =
+        lib_path("flowlib_jobs_" + std::to_string(jobs) + ".ocl");
+    std::filesystem::copy_file(stash, copy);
     FlowSpec run = spec;
     run.jobs = jobs;
+    run.library_path = copy;
     Library lib = dense_chip(4);
     const FlowStats s = run_flat_opc(lib, "top", run);
     if (jobs == 1) {
@@ -249,12 +250,12 @@ TEST(FlowLibrary, WarmStartedFlowIsDeterministicAcrossJobs) {
 }
 
 TEST(FlowLibrary, SharedSnapshotAndSinkMirrorTheFilePath) {
-  // The daemon hooks: a sink accumulates fresh solves into a shared
-  // in-memory library, and a later job warm-starts from its snapshot —
-  // no file involved.
+  // The daemon hooks: the record sink accumulates fresh solves into a
+  // shared in-memory library, and a later job warm-starts from it — no
+  // file involved.
   pat::PatternLibrary shared;
   FlowSpec cold = fast_flow();
-  cold.library_sink = [&shared](const pat::LibraryRecord& rec) {
+  cold.record_sink = [&shared](const store::TileRecord& rec) {
     shared.insert(rec);
   };
   Library lib = iso_chip();
@@ -275,6 +276,27 @@ TEST(FlowLibrary, SharedSnapshotAndSinkMirrorTheFilePath) {
   EXPECT_GT(s.library_warm_iterations, 0u);
   EXPECT_EQ(s.library_entries_loaded, 0u);
   EXPECT_EQ(s.library_entries_appended, 0u);
+}
+
+TEST(FlowLibrary, MovedLibraryOpensAndReplays) {
+  // The fingerprint binds a library to its process setup, not to its
+  // path: a library written at one path and moved to another opens and
+  // replays byte-identically.
+  FlowSpec spec = fast_flow();
+  spec.library_path = lib_path("flowlib_moved_a.ocl");
+  Library cold = iso_chip();
+  run_flat_opc(cold, "top", spec);
+
+  FlowSpec moved = spec;
+  moved.library_path = lib_path("flowlib_moved_b.ocl");
+  EXPECT_EQ(flow_fingerprint(moved, "flat"), flow_fingerprint(spec, "flat"));
+  std::filesystem::rename(spec.library_path, moved.library_path);
+  Library warm = iso_chip();
+  const FlowStats s = run_flat_opc(warm, "top", moved);
+  EXPECT_EQ(s.library_entries_loaded, 1u);
+  EXPECT_EQ(s.opc_runs, 0u);
+  EXPECT_EQ(s.library_exact_hits, 32u);
+  EXPECT_EQ(output_polys(warm, "top", moved), output_polys(cold, "top", spec));
 }
 
 TEST(FlowLibrary, TornLibraryTailRecoversAndResolves) {

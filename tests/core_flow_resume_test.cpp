@@ -297,11 +297,13 @@ TEST(FlowResume, FingerprintCoversFlowKindAndKnobs) {
   b.store_path = "elsewhere.ocs";
   b.resume = true;
   EXPECT_EQ(flow_fingerprint(a, "flat"), flow_fingerprint(b, "flat"));
-  // The pattern-library knobs ARE mixed: near-match warm starts move the
-  // solver trajectory, so the corrected mask depends on them.
+  // So is the library's path: the same library is valid wherever its
+  // file lives (the file header binds its content to the fingerprint).
   b = fast_flow();
   b.library_path = "patterns.ocl";
-  EXPECT_NE(flow_fingerprint(a, "flat"), flow_fingerprint(b, "flat"));
+  EXPECT_EQ(flow_fingerprint(a, "flat"), flow_fingerprint(b, "flat"));
+  // The near-match budget IS mixed: warm starts move the solver
+  // trajectory, so the corrected mask depends on it.
   b = fast_flow();
   b.library_budget = 0.25;
   EXPECT_NE(flow_fingerprint(a, "flat"), flow_fingerprint(b, "flat"));

@@ -3,8 +3,8 @@
 /// must be refused up front — in both flows, with a typed error that
 /// names it, before any .ocs/.ocl file is created. Used by
 /// FlowResume.StoreRequiresCache, FlowLibrary.LibraryRequiresCache and
-/// ServiceLibrary.PreloadRequiresCache, which between them cover all six
-/// hooks.
+/// ServiceLibrary.PreloadRequiresCache, which between them cover the
+/// four hooks that attach reuse (`resume` only qualifies store_path).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "core/flow.h"
 #include "pattern/library.h"
@@ -22,12 +21,11 @@ namespace opckit::opc::testing_hooks {
 
 /// Runs run_cell_opc and run_flat_opc on a fresh make_chip() layout
 /// (top cell "top") with \p spec, the cache off and \p hook — one of
-/// preload, store_path, record_sink, library_path, library, library_sink
-/// — set, and expects each run to be refused as described above.
+/// store_path, library_path, library, record_sink — set, and expects
+/// each run to be refused as described above.
 inline void expect_hook_requires_cache(
     const std::string& hook, FlowSpec spec,
     const std::function<layout::Library()>& make_chip) {
-  const std::vector<store::TileRecord> shelf;
   const pat::PatternLibrary shared;
   const std::string base = ::testing::TempDir() + "/nocache_" + hook;
   const std::string ocs = base + ".ocs";
@@ -36,9 +34,7 @@ inline void expect_hook_requires_cache(
   std::filesystem::remove(ocl);
 
   spec.cache = false;
-  if (hook == "preload") {
-    spec.preload = &shelf;
-  } else if (hook == "store_path") {
+  if (hook == "store_path") {
     spec.store_path = ocs;
   } else if (hook == "record_sink") {
     spec.record_sink = [](const store::TileRecord&) {};
@@ -46,8 +42,6 @@ inline void expect_hook_requires_cache(
     spec.library_path = ocl;
   } else if (hook == "library") {
     spec.library = &shared;
-  } else if (hook == "library_sink") {
-    spec.library_sink = [](const pat::LibraryRecord&) {};
   } else {
     FAIL() << "unknown reuse hook " << hook;
   }

@@ -555,14 +555,19 @@ TEST(SocsFlow, FingerprintChangesIffImagingKnobsChange) {
 // imaging-engine revision is mixed into the fingerprint: a default spec
 // no longer hashes to its pre-revision value (pinned from the builds
 // before the band-limited grid), and stores and libraries written by
-// those builds are refused instead of mixed with new solves.
+// those builds are refused instead of mixed with new solves. The pinned
+// current values changed once more when library_path left the
+// fingerprint (the revision-1 values that still mixed an empty path are
+// the middle pair).
 TEST(SocsFlow, FingerprintChangesWithImagingEngineRevision) {
   EXPECT_EQ(kImagingEngineRevision, 1);
   const FlowSpec base;
   EXPECT_NE(flow_fingerprint(base, "flat"), 0x74ce46152305fb70u);
   EXPECT_NE(flow_fingerprint(base, "cell"), 0x94a06599f816c461u);
-  EXPECT_EQ(flow_fingerprint(base, "flat"), 0x9bf7c13a66f31391u);
-  EXPECT_EQ(flow_fingerprint(base, "cell"), 0xd5aea2dca5531060u);
+  EXPECT_NE(flow_fingerprint(base, "flat"), 0x9bf7c13a66f31391u);
+  EXPECT_NE(flow_fingerprint(base, "cell"), 0xd5aea2dca5531060u);
+  EXPECT_EQ(flow_fingerprint(base, "flat"), 0x1cdbe09414a79f31u);
+  EXPECT_EQ(flow_fingerprint(base, "cell"), 0x153e264732117a60u);
 }
 
 }  // namespace

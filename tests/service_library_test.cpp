@@ -1,9 +1,11 @@
 /// CorrectionLibrary + FlowSpec service-hook tests: cross-run sharing,
-/// dedup, durable reload, and the preload/record_sink/cancel/progress
-/// plumbing the daemon builds on (src/service/library.h, core/flow.h).
+/// dedup, durable reload, refusal of a damaged shelf file, the `.ocl`
+/// mirror, and the library/record_sink/cancel/progress plumbing the
+/// daemon builds on (src/service/library.h, core/flow.h).
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -61,9 +63,15 @@ store::TileRecord sample_record(geom::Coord x) {
   return rec;
 }
 
+std::string file_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
 TEST(ServiceLibrary, SnapshotOfFreshFingerprintIsEmpty) {
   CorrectionLibrary lib({});
-  EXPECT_TRUE(lib.snapshot(42).empty());
+  EXPECT_EQ(lib.snapshot(42).size(), 0u);
   EXPECT_EQ(lib.size(42), 0u);
 }
 
@@ -80,6 +88,11 @@ TEST(ServiceLibrary, AddDeduplicatesByFullRecordEquality) {
   variant.solution.clear();
   lib.add(1, variant);
   EXPECT_EQ(lib.size(1), 3u);
+  // Same tile, different seeds: one pattern class, dropped.
+  store::TileRecord seeded = sample_record(500);
+  seeded.seeds = {{geom::Point{590, 0}, 4}};
+  lib.add(1, seeded);
+  EXPECT_EQ(lib.size(1), 3u);
 }
 
 TEST(ServiceLibrary, ShelvesAreIndependentPerFingerprint) {
@@ -88,7 +101,7 @@ TEST(ServiceLibrary, ShelvesAreIndependentPerFingerprint) {
   lib.add(2, sample_record(0));
   EXPECT_EQ(lib.size(1), 1u);
   EXPECT_EQ(lib.size(2), 1u);
-  EXPECT_TRUE(lib.snapshot(3).empty());
+  EXPECT_EQ(lib.snapshot(3).size(), 0u);
 }
 
 TEST(ServiceLibrary, DurableShelfReloadsAcrossInstances) {
@@ -103,11 +116,56 @@ TEST(ServiceLibrary, DurableShelfReloadsAcrossInstances) {
   CorrectionLibrary lib2({dir, true});
   const auto shelf = lib2.snapshot(7);
   ASSERT_EQ(shelf.size(), 2u);
-  EXPECT_EQ(shelf[0], sample_record(0));
-  EXPECT_EQ(shelf[1], sample_record(500));
+  EXPECT_EQ(shelf.record(0), sample_record(0));
+  EXPECT_EQ(shelf.record(1), sample_record(500));
   // Dedup survives the reload: re-adding a loaded record is a no-op.
   lib2.add(7, sample_record(0));
   EXPECT_EQ(lib2.size(7), 2u);
+}
+
+TEST(ServiceLibrary, RefusedShelfFileFailsEveryJobAndStaysUntouched) {
+  // A shelf file the store refuses must not be swapped for an empty,
+  // memory-only shelf after the first failure: every job under that
+  // fingerprint fails, and nothing overwrites or appends to the file.
+  const std::string dir = temp_dir("svc_lib_refused");
+  std::filesystem::create_directories(dir);
+  CorrectionLibrary lib({dir, true});
+  const std::string path = lib.path_for(9);
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "not a record file";
+  }
+  const std::string garbage = file_text(path);
+  for (int job = 0; job < 2; ++job) {
+    try {
+      lib.snapshot(9);
+      ADD_FAILURE() << "job " << job << " ran on a refused shelf";
+    } catch (const util::InputError& e) {
+      EXPECT_NE(std::string(e.what()).find("STO003"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(lib.add(9, sample_record(0)), util::InputError);
+  EXPECT_EQ(file_text(path), garbage);
+}
+
+TEST(ServiceLibrary, OclMirrorHoldsTheSeededRecords) {
+  // The `.ocl` mirror carries exactly the seeded records, each of which
+  // near-matches itself; a restarted shelf rebuilds it from the `.ocs`.
+  const std::string dir = temp_dir("svc_lib_mirror");
+  store::TileRecord seeded = sample_record(0);
+  seeded.seeds = {{geom::Point{90, 0}, 4}};
+  const std::string ocl = dir + "/0000000000000007.ocl";
+  for (int restart = 0; restart < 2; ++restart) {
+    CorrectionLibrary lib({dir, false});
+    lib.add(7, seeded);
+    lib.add(7, sample_record(500));  // unseeded: shelved, not mirrored
+    EXPECT_EQ(lib.size(7), 2u);
+    const auto mirror = pat::PatternLibrary::open(ocl, 7, false);
+    ASSERT_EQ(mirror.size(), 1u) << "restart " << restart;
+    EXPECT_EQ(mirror.record(0), seeded);
+    EXPECT_TRUE(mirror.nearest(mirror.feature(0), 0.0).has_value());
+  }
 }
 
 TEST(ServiceLibrary, MemoryOnlyModeWritesNoFiles) {
@@ -140,12 +198,12 @@ TEST(ServiceLibrary, PreloadAndRecordSinkRoundTripThroughFlow) {
   EXPECT_GT(stats1.opc_runs, 0u);
   EXPECT_GT(shared.size(fp), 0u);
 
-  // Second run, fresh process state: preloaded snapshot replays every
+  // Second run, fresh process state: the shelf snapshot replays every
   // tile — zero solves — and the output is byte-identical.
   Library chip2 = sparse_chip();
   opc::FlowSpec second = base;
-  const std::vector<store::TileRecord> shelf = shared.snapshot(fp);
-  second.preload = &shelf;
+  const pat::PatternLibrary shelf = shared.snapshot(fp);
+  second.library = &shelf;
   const opc::FlowStats stats2 = opc::run_flat_opc(chip2, "top", second);
   EXPECT_EQ(stats2.opc_runs, 0u);
   EXPECT_EQ(stats2.store_entries_loaded, shelf.size());
@@ -154,9 +212,9 @@ TEST(ServiceLibrary, PreloadAndRecordSinkRoundTripThroughFlow) {
 }
 
 TEST(ServiceLibrary, PreloadRequiresCache) {
-  // The daemon's two hooks: the shelf it preloads and the sink it
-  // records fresh solves through.
-  for (const char* hook : {"preload", "record_sink"}) {
+  // The daemon's two hooks: the shelf snapshot it preloads and the sink
+  // it records fresh solves through.
+  for (const char* hook : {"library", "record_sink"}) {
     opc::testing_hooks::expect_hook_requires_cache(
         hook, fast_flow(), [] { return sparse_chip(1, 1); });
   }

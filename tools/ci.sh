@@ -39,10 +39,15 @@ job_sanitize() {
   (cd build-ci-asan && \
    ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
    ctest "${CTEST_ARGS[@]}")
-  # The correction-store suite (corrupt-file corpus + crash/resume) is
-  # part of the full run above; gate explicitly on the `store` label so a
-  # test-discovery regression can never silently drop it from the
-  # sanitizer matrix.
+  # The record-file suite is part of the full run above; gate explicitly
+  # on the `store` label so a test-discovery regression can never
+  # silently drop it from the sanitizer matrix. Two runs, so each half
+  # must match tests: the corrupt-file corpus through both of the file's
+  # readers (ResultStore.*, PatternLibrary.*), then crash/resume.
+  (cd build-ci-asan && \
+   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
+   ctest "${CTEST_ARGS[@]}" --no-tests=error -L store \
+         -R '^(ResultStore|PatternLibrary)\.')
   (cd build-ci-asan && \
    ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
    ctest "${CTEST_ARGS[@]}" --no-tests=error -L store \
@@ -84,10 +89,10 @@ job_sanitize() {
   (cd build-ci-asan && \
    ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
    ctest "${CTEST_ARGS[@]}" --no-tests=error -L service)
-  # `pat` label: the pattern library — its own corrupt-file corpus
-  # (byte-flip/truncation/forged-CRC loads), the norm-pruned retrieval
-  # index, and the flow's exact/near/miss dispatch. Binary parsing plus
-  # index arithmetic: sweep it on every sanitizer run.
+  # `pat` label: the pattern library — the norm-pruned retrieval index,
+  # its persistence round trips, and the flow's exact/near/miss dispatch
+  # (its corrupt-file corpus runs under the `store` gate above). Index
+  # arithmetic over loaded records: sweep it on every sanitizer run.
   (cd build-ci-asan && \
    ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
    ctest "${CTEST_ARGS[@]}" --no-tests=error -L pat)
