@@ -447,7 +447,7 @@ void account_solve(const TileWork& t, FlowStats& stats) {
   stats.simulations += sims;
   stats.tile_simulations.push_back(sims);
   if (t.ilt) {
-    stats.all_converged = stats.all_converged && t.ilt_result.converged;
+    stats.all_converged = stats.all_converged && t.ilt_result.converged();
     stats.max_abs_epe_nm = std::max(stats.max_abs_epe_nm, t.ilt_max_epe);
     stats.worst_rms_epe_nm = std::max(stats.worst_rms_epe_nm, t.ilt_rms_epe);
     ++stats.ilt_tiles;

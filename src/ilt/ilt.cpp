@@ -48,6 +48,17 @@ litho::Frame frame_for(const litho::SimSpec& sim, const Rect& window) {
   return litho::Simulator(sim, window).frame();
 }
 
+/// The registry counter of one stop reason.
+const char* stop_metric(IltStop stop) {
+  switch (stop) {
+    case IltStop::kConverged: return trace::metric::kIltStopConverged;
+    case IltStop::kNoDescent: return trace::metric::kIltStopNoDescent;
+    case IltStop::kZeroGradient: return trace::metric::kIltStopZeroGradient;
+    case IltStop::kIterationCap: return trace::metric::kIltStopIterationCap;
+  }
+  return trace::metric::kIltStopIterationCap;
+}
+
 /// Round \p v up to a positive multiple of \p unit.
 Coord round_up(Coord v, Coord unit) {
   return ((std::max<Coord>(v, 1) + unit - 1) / unit) * unit;
@@ -74,8 +85,7 @@ PixelProblem::PixelProblem(const std::vector<Polygon>& targets,
       fft2_(frame_.nx, frame_.ny),
       set_(litho::KernelCache::instance().get(
           sim.optics, frame_, 0.0, sim.mask,
-          litho::SocsOptions{sim.socs_epsilon})),
-      batch_(fft2_, set_->support) {
+          litho::SocsOptions{sim.socs_epsilon})) {
   validate(spec);
   OPCKIT_CHECK_MSG(threshold_ > 0.0,
                    "pixel ILT needs a calibrated resist threshold");
@@ -118,36 +128,20 @@ PixelProblem::PixelProblem(const std::vector<Polygon>& targets,
 }
 
 double PixelProblem::cost(const std::vector<double>& m) const {
-  OPCKIT_CHECK(m.size() == target_.size());
-  const std::size_t n = m.size();
-  // Forward: transmission -> spectrum -> fused per-kernel |IFFT|^2.
-  std::vector<double> trans(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    trans[i] = m[i] + (1.0 - m[i]) * t_bg_;
-  }
-  std::vector<Complex> spectrum;
-  fft2_.forward_real(std::span<const double>(trans), spectrum);
-  litho::Image intensity(frame_, 0.0);
-  std::vector<double> mag2;
-  for (const litho::SocsKernel& k : set_->kernels) {
-    batch_.inverse_mag2(spectrum.data(), k.value, mag2);
-    double* acc = intensity.values().data();
-    for (std::size_t i = 0; i < n; ++i) acc[i] += k.weight * mag2[i];
-  }
-  const litho::Image latent = litho::gaussian_blur(intensity, diffusion_);
-  double c = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (weight_[i] == 0.0) continue;
-    const double z =
-        sigmoid(steepness_ * (latent.values()[i] - threshold_));
-    const double r = z - target_[i];
-    c += weight_[i] * r * r;
-  }
-  return c;
+  Forward fwd;
+  return evaluate(m, fwd);
 }
 
 double PixelProblem::cost_and_gradient(const std::vector<double>& m,
                                        std::vector<double>& grad) const {
+  Forward fwd;
+  const double c = evaluate(m, fwd);
+  gradient(fwd, grad);
+  return c;
+}
+
+double PixelProblem::evaluate(const std::vector<double>& m,
+                              Forward& fwd) const {
   OPCKIT_CHECK(m.size() == target_.size());
   const std::size_t n = m.size();
   std::vector<double> trans(n);
@@ -157,57 +151,66 @@ double PixelProblem::cost_and_gradient(const std::vector<double>& m,
   std::vector<Complex> spectrum;
   fft2_.forward_real(std::span<const double>(trans), spectrum);
 
-  // Forward pass, keeping the coherent fields E_k — the adjoint needs
-  // conj(E_k), not just the fused magnitudes.
-  std::vector<std::vector<Complex>> fields(set_->kernels.size());
-  litho::Image intensity(frame_, 0.0);
-  for (std::size_t k = 0; k < set_->kernels.size(); ++k) {
-    batch_.inverse_field(spectrum.data(), set_->kernels[k].value, fields[k]);
-    double* acc = intensity.values().data();
-    const double w = set_->kernels[k].weight;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc[i] += w * std::norm(fields[k][i]);
-    }
-  }
+  // Forward pass on the set's band-limited grid, keeping the coherent
+  // fields E_k — the adjoint needs conj(E_k), not just |E_k|^2. Each
+  // kernel writes only its own field, so the pooled members may run
+  // concurrently; the weighted sum is reduced in kernel order.
+  fwd.fields.resize(set_->kernels.size());
+  litho::Image intensity(frame_);
+  set_->grid->intensity_sum(
+      spectrum.data(), set_->kernels.size(),
+      [&](std::size_t k, const Complex* grid_spectrum,
+          std::vector<double>& out) {
+        std::vector<Complex>& e = fwd.fields[k];
+        set_->batch->inverse_field(grid_spectrum, set_->kernels[k].value, e);
+        for (std::size_t i = 0; i < e.size(); ++i) out[i] = std::norm(e[i]);
+      },
+      [&](std::size_t k) { return set_->kernels[k].weight; },
+      intensity.values());
   const litho::Image latent = litho::gaussian_blur(intensity, diffusion_);
 
   // Cost and its gradient w.r.t. the latent image, through the sigmoid:
   // dC/dL = 2 w (z - T) * a * z * (1 - z).
   double c = 0.0;
-  litho::Image g_latent(frame_, 0.0);
+  fwd.d_latent = litho::Image(frame_, 0.0);
+  double* d_latent = fwd.d_latent.values().data();
   for (std::size_t i = 0; i < n; ++i) {
     if (weight_[i] == 0.0) continue;
     const double z =
         sigmoid(steepness_ * (latent.values()[i] - threshold_));
     const double r = z - target_[i];
     c += weight_[i] * r * r;
-    g_latent.values()[i] =
-        2.0 * weight_[i] * r * steepness_ * z * (1.0 - z);
+    d_latent[i] = 2.0 * weight_[i] * r * steepness_ * z * (1.0 - z);
   }
+  return c;
+}
 
+void PixelProblem::gradient(const Forward& fwd,
+                            std::vector<double>& grad) const {
+  OPCKIT_CHECK(fwd.fields.size() == set_->kernels.size());
+  const std::size_t n = target_.size();
   // Pull back through the resist blur (a real symmetric transfer is
-  // self-adjoint) to the aerial intensity.
-  const litho::Image g_int = litho::gaussian_blur(g_latent, diffusion_);
+  // self-adjoint) to the aerial intensity, and keep the band of it the
+  // support-side adjoint reads.
+  const litho::Image g_int = litho::gaussian_blur(fwd.d_latent, diffusion_);
+  std::vector<double> g_grid;
+  set_->grid->project(g_int.values(), g_grid);
 
   // Adjoint of the SOCS sum: accumulate on the shared sparse support
   //   Q(f) = sum_k lambda_k * phi_k(f) * IFFT(gI . conj(E_k))(f),
-  // then one dense forward FFT lands the gradient in pixel space:
-  //   dC/dt(y) = 2 Re[FFT(Q)(y)].
-  std::vector<Complex> work(n);
+  // each back-projection at grid size, then one dense forward FFT
+  // lands the gradient in pixel space: dC/dt(y) = 2 Re[FFT(Q)(y)].
   std::vector<Complex> q(set_->support.size(), Complex{0.0, 0.0});
+  std::vector<Complex> back;
   for (std::size_t k = 0; k < set_->kernels.size(); ++k) {
-    const double* gi = g_int.values().data();
-    for (std::size_t i = 0; i < n; ++i) {
-      work[i] = gi[i] * std::conj(fields[k][i]);
-    }
-    fft2_.inverse(work);
+    set_->grid->back_project(g_grid, fwd.fields[k], back);
     const double w = set_->kernels[k].weight;
     const std::vector<Complex>& phi = set_->kernels[k].value;
     for (std::size_t j = 0; j < set_->support.size(); ++j) {
-      q[j] += w * phi[j] * work[set_->support[j]];
+      q[j] += w * phi[j] * back[j];
     }
   }
-  std::fill(work.begin(), work.end(), Complex{0.0, 0.0});
+  std::vector<Complex> work(n, Complex{0.0, 0.0});
   for (std::size_t j = 0; j < set_->support.size(); ++j) {
     work[set_->support[j]] = q[j];
   }
@@ -218,7 +221,6 @@ double PixelProblem::cost_and_gradient(const std::vector<double>& m,
   for (std::size_t i = 0; i < n; ++i) {
     grad[i] = 2.0 * work[i].real() * (1.0 - t_bg_);
   }
-  return c;
 }
 
 Region legalize_mask(const litho::Image& mask, const Rect& window,
@@ -334,13 +336,17 @@ Region legalize_mask(const litho::Image& mask, const Rect& window,
 namespace {
 
 /// Projected gradient descent + legalization, given a built problem.
+/// Each trial keeps its forward pass, so the accepted one feeds the
+/// next gradient without a second simulation of the same mask.
 IltResult run_pixelsolve(const PixelProblem& problem,
                          const std::vector<Polygon>& targets,
                          const Rect& window, const IltSpec& spec) {
   IltResult out;
   std::vector<double> m = problem.initial();
   std::vector<double> grad;
-  double cost = problem.cost_and_gradient(m, grad);
+  PixelProblem::Forward current, candidate;
+  double cost = problem.evaluate(m, current);
+  problem.gradient(current, grad);
   out.initial_cost = cost;
   double step = spec.step;
 
@@ -358,7 +364,7 @@ IltResult run_pixelsolve(const PixelProblem& problem,
       if (problem.free_mask()[i]) gmax = std::max(gmax, std::abs(grad[i]));
     }
     if (gmax == 0.0) {
-      out.converged = true;
+      out.stop = IltStop::kZeroGradient;
       break;
     }
 
@@ -373,30 +379,32 @@ IltResult run_pixelsolve(const PixelProblem& problem,
                        ? std::clamp(m[i] - scale * grad[i], 0.0, 1.0)
                        : m[i];
       }
-      trial_cost = problem.cost(trial);
+      trial_cost = problem.evaluate(trial, candidate);
       if (trial_cost < cost) {
         accepted = true;
         break;
       }
       step *= 0.5;
     }
-    if (!accepted) break;
+    if (!accepted) {
+      out.stop = IltStop::kNoDescent;
+      break;
+    }
 
     m.swap(trial);
+    std::swap(current, candidate);
     ++out.iterations;
     const double improvement = (cost - trial_cost) / std::max(cost, 1e-30);
     cost = trial_cost;
     if (improvement < spec.convergence_tol) {
       if (++stalled >= kStallLimit) {
-        out.converged = true;
+        out.stop = IltStop::kConverged;
         break;
       }
     } else {
       stalled = 0;
     }
-    if (it + 1 < spec.max_iterations) {
-      cost = problem.cost_and_gradient(m, grad);
-    }
+    if (it + 1 < spec.max_iterations) problem.gradient(current, grad);
   }
   out.final_cost = cost;
 
@@ -425,6 +433,9 @@ IltResult run_pixel_ilt(const std::vector<Polygon>& targets,
 
   trace::MetricsRegistry& reg = trace::metrics();
   reg.counter(trace::metric::kIltRuns).add(1);
+  reg.counter(trace::metric::kIltSteps)
+      .add(static_cast<std::uint64_t>(out.iterations));
+  reg.counter(stop_metric(out.stop)).add(1);
   reg.histogram(trace::metric::kIltIterations)
       .observe(static_cast<double>(out.iterations));
   const double reduction =

@@ -16,25 +16,36 @@
 /// is a smooth function of the pixel transmissions, the resist proxy is
 /// a sigmoid of the diffused latent image, and the cost is a weighted
 /// L2 distance between the predicted print and the rasterized target.
-/// The adjoint reuses the planned FFT engine for every transform — the
-/// forward mask spectrum goes through Fft2d::forward_real, the per-
-/// kernel coherent fields through SparseInverseBatch::inverse_field
-/// (the complex sibling of the fused-|.|^2 imaging path), and the
-/// gradient assembles as
+/// Cost and adjoint run on the kernel set's band-limited grid (fft.h
+/// tier 4; 64x64 for the production 256x256 frame), as SocsImager's
+/// aerial image does. The forward mask spectrum goes through
+/// Fft2d::forward_real, the per-kernel coherent fields E_k through the
+/// set's grid batch (SparseInverseBatch::inverse_field, the complex
+/// sibling of the fused-|.|^2 imaging path), and their weighted sum
+/// through BandLimitedGrid::intensity_sum, which interpolates once to
+/// the frame. The gradient assembles as
 ///
 ///     dC/dt(y) = 2 * Re[ FFT( sum_k lambda_k * phi_k
 ///                             . IFFT(gI . conj(E_k)) )(y) ]
 ///
 /// with gI the cost gradient pulled back through the sigmoid and the
-/// (self-adjoint) resist blur. One forward pass plus one adjoint pass
-/// costs ~2 transforms per kernel — the same order as a simulation.
+/// (self-adjoint) resist blur. IFFT(gI . conj(E_k)) is read only on the
+/// support, where it needs gI's spectrum only inside the grid's band:
+/// gI is band-projected onto the grid once, and each kernel's product
+/// and inverse run at grid size (BandLimitedGrid::back_project). One
+/// frame transform carries the support sum to the pixels. Per kernel,
+/// a forward plus an adjoint pass is two grid-size transforms; the
+/// frame-size work is a fixed handful of passes, whatever the kernel
+/// count.
 ///
 /// Optimization is projected gradient descent: pixels whose centers lie
 /// inside the correction window are free in [0, 1]; everything outside
 /// is frozen context (locked exactly like model OPC's out-of-window
-/// fragments). The loop is serial and allocation-stable, so a tile's
-/// result is a pure function of its inputs — the flow's jobs=1 vs
-/// jobs=8 byte-identity contract holds for ILT tiles unchanged.
+/// fragments). The loop is serial and every reduction runs in a fixed
+/// order (outside a pool worker the forward pass fans its kernels out
+/// over the pool, summed in kernel order), so a tile's result is a pure
+/// function of its inputs — the flow's jobs=1 vs jobs=8 byte-identity
+/// contract holds for ILT tiles unchanged.
 ///
 /// The continuous mask is not manufacturable; legalize_mask() snaps it
 /// back to Manhattan polygons on the pixel grid and then repairs the
@@ -100,6 +111,14 @@ struct IltSpec {
   double min_area_nm2 = 6400.0;
 };
 
+/// Why a pixel-ILT descent ended.
+enum class IltStop {
+  kConverged,     ///< a run of accepted steps each below convergence_tol
+  kNoDescent,     ///< no step size of the backtracking lowered the cost
+  kZeroGradient,  ///< the gradient vanished on every free pixel
+  kIterationCap,  ///< max_iterations steps accepted
+};
+
 /// Result of one pixel-ILT tile.
 struct IltResult {
   /// Legalized window geometry plus the locked context polygons
@@ -109,7 +128,12 @@ struct IltResult {
   int iterations = 0;       ///< accepted gradient steps
   double initial_cost = 0;  ///< cost of the drawn mask
   double final_cost = 0;    ///< cost of the final continuous mask
-  bool converged = false;   ///< hit convergence_tol before the cap
+  IltStop stop = IltStop::kIterationCap;
+  /// Stopped at a stationary point (stall run or zero gradient) rather
+  /// than at the cap or a failed line search.
+  bool converged() const {
+    return stop == IltStop::kConverged || stop == IltStop::kZeroGradient;
+  }
   /// Final continuous pixel mask (pre-legalization), for introspection
   /// and the escalation bench.
   litho::Image mask;
@@ -123,10 +147,19 @@ double sigmoid(double x);
 /// cost and adjoint gradient of the weighted print error as a function
 /// of the full pixel mask. Exposed (rather than folded into
 /// run_pixel_ilt) so the finite-difference test can probe the adjoint
-/// directly. Immutable after construction; cost/cost_and_gradient are
-/// const and reentrant.
+/// directly. Immutable after construction; every method is const and
+/// reentrant.
 class PixelProblem {
  public:
+  /// One mask's forward pass, kept for its adjoint: the per-kernel
+  /// coherent fields on the kernel set's grid and the cost gradient
+  /// w.r.t. the latent image. evaluate() fills it, gradient() reads it,
+  /// so the descent pays one forward pass per accepted step.
+  struct Forward {
+    std::vector<std::vector<litho::Complex>> fields;  ///< E_k, grid layout
+    litho::Image d_latent;  ///< dC/d(latent) on the frame
+  };
+
   /// \p targets: drawn polygons — window shapes to re-synthesize plus
   /// frozen context. \p sim must carry a calibrated resist threshold.
   PixelProblem(const std::vector<geom::Polygon>& targets,
@@ -139,15 +172,26 @@ class PixelProblem {
   const std::vector<double>& initial() const { return target_; }
   /// 1 where the pixel center is inside the window (optimizable).
   const std::vector<std::uint8_t>& free_mask() const { return free_; }
+  /// Per-pixel cost weight (0 outside the window, 1 + edge_weight x
+  /// edge-band coverage inside it).
+  const std::vector<double>& weight() const { return weight_; }
 
   /// Weighted print-error cost of mask \p m (values in [0, 1],
   /// size() entries). One forward simulation.
   double cost(const std::vector<double>& m) const;
 
   /// Cost plus the full unconstrained gradient dC/dm (the caller
-  /// applies the free-pixel projection). ~2x the cost of cost().
+  /// applies the free-pixel projection): evaluate() then gradient().
   double cost_and_gradient(const std::vector<double>& m,
                            std::vector<double>& grad) const;
+
+  /// cost(m), keeping the forward pass in \p fwd (its buffers are
+  /// reused across calls). Bit-identical to cost(m).
+  double evaluate(const std::vector<double>& m, Forward& fwd) const;
+
+  /// dC/dm of the mask \p fwd was evaluated on. evaluate() followed by
+  /// gradient() is bit-identical to cost_and_gradient().
+  void gradient(const Forward& fwd, std::vector<double>& grad) const;
 
  private:
   litho::Frame frame_;
@@ -156,9 +200,8 @@ class PixelProblem {
   double steepness_;   ///< sigmoid a
   double diffusion_;   ///< resist diffusion sigma, nm
   double t_bg_;        ///< mask background amplitude
-  litho::Fft2d fft2_;
-  std::shared_ptr<const litho::SocsKernelSet> set_;
-  litho::SparseInverseBatch batch_;
+  litho::Fft2d fft2_;  ///< frame transforms (mask spectrum, gradient)
+  std::shared_ptr<const litho::SocsKernelSet> set_;  ///< grid + batch too
   std::vector<double> target_;  ///< rasterized drawn coverage
   std::vector<double> weight_;  ///< per-pixel cost weight (0 = ignored)
   std::vector<std::uint8_t> free_;
@@ -177,7 +220,8 @@ geom::Region legalize_mask(const litho::Image& mask,
 /// Run pixel ILT on one tile: descend from the drawn coverage, then
 /// legalize. Polygons fully inside \p window are re-synthesized; every
 /// other polygon is locked context (returned unchanged, normalized).
-/// Deterministic: serial descent, fixed reduction orders.
+/// Deterministic: serial descent, fixed reduction orders. Records
+/// `ilt.runs`, `ilt.steps` and one `ilt.stop_*` counter per call.
 IltResult run_pixel_ilt(const std::vector<geom::Polygon>& targets,
                         const litho::SimSpec& sim, const geom::Rect& window,
                         const IltSpec& spec);

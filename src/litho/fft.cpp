@@ -532,6 +532,22 @@ BandLimitedGrid::BandLimitedGrid(const Fft2d& frame,
   y_lo_ = ey.lo;
   y_hi_ = ey.hi;
   mapped_ = remap(support_);
+  if (!reduced()) return;
+  // Kept bins per axis: all of an unreduced one; |k| < m/2 of a reduced
+  // one — its Nyquist bin m/2 is zero in exact arithmetic (2e+1 <= m).
+  // Only the kx <= mx/2 half: both c2r passes read nothing else.
+  const std::size_t nx = frame_.nx(), ny = frame_.ny();
+  const std::size_t mx = grid_.nx(), my = grid_.ny();
+  const std::size_t kx_end = mx < nx ? (mx + 1) / 2 : nx / 2 + 1;
+  for (std::size_t ky = 0; ky < my; ++ky) {
+    const bool negative = ky > (my - 1) / 2;
+    if (negative && my < ny && ky == my / 2) continue;
+    const std::size_t fy = negative ? ky + (ny - my) : ky;
+    for (std::size_t kx = 0; kx < kx_end; ++kx) {
+      band_grid_.push_back(static_cast<std::uint32_t>(ky * mx + kx));
+      band_frame_.push_back(static_cast<std::uint32_t>(fy * nx + kx));
+    }
+  }
 }
 
 std::vector<std::uint32_t> BandLimitedGrid::remap(
@@ -598,19 +614,54 @@ void BandLimitedGrid::upsample(std::span<const double> sum,
   // powers of two, so the multiply is exact.
   const double scale =
       static_cast<double>(mx * my) / static_cast<double>(nx * ny);
-  // Bins kept per axis: all of an unreduced one; |k| < m/2 of a reduced
-  // one — its Nyquist bin m/2 is zero in exact arithmetic (2e+1 <= m).
-  const std::size_t kx_end = mx < nx ? (mx + 1) / 2 : nx / 2 + 1;
   std::vector<Complex> wide(nx * ny, Complex{0.0, 0.0});
-  for (std::size_t ky = 0; ky < my; ++ky) {
-    const bool negative = ky > (my - 1) / 2;
-    if (negative && my < ny && ky == my / 2) continue;
-    const std::size_t fy = negative ? ky + (ny - my) : ky;
-    const Complex* src = small.data() + ky * mx;
-    Complex* dst = wide.data() + fy * nx;
-    for (std::size_t kx = 0; kx < kx_end; ++kx) dst[kx] = src[kx] * scale;
+  for (std::size_t b = 0; b < band_grid_.size(); ++b) {
+    wide[band_frame_[b]] = small[band_grid_[b]] * scale;
   }
   frame_.inverse_real(wide, out);
+}
+
+void BandLimitedGrid::project(std::span<const double> image,
+                              std::vector<double>& out) const {
+  OPCKIT_CHECK(image.size() == frame_.nx() * frame_.ny());
+  if (!reduced()) {
+    out.assign(image.begin(), image.end());
+    return;
+  }
+  std::vector<Complex> wide;
+  frame_.forward_real(image, wide);
+  // The grid's c2r divides by mx·my where the frame's would divide by
+  // nx·ny: the samples come out scaled by (nx·ny)/(mx·my), like the
+  // members' fields.
+  std::vector<Complex> small(grid_.nx() * grid_.ny(), Complex{0.0, 0.0});
+  for (std::size_t b = 0; b < band_grid_.size(); ++b) {
+    small[band_grid_[b]] = wide[band_frame_[b]];
+  }
+  grid_.inverse_real(small, out);
+}
+
+void BandLimitedGrid::back_project(std::span<const double> projected,
+                                   std::span<const Complex> field,
+                                   std::vector<Complex>& out) const {
+  const std::size_t m = grid_.nx() * grid_.ny();
+  OPCKIT_CHECK(projected.size() == m && field.size() == m);
+  std::vector<Complex> work(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    work[i] = projected[i] * std::conj(field[i]);
+  }
+  grid_.inverse(work);
+  // Both factors carry (nx·ny)/(mx·my); the grid inverse averages over
+  // its samples as the frame's does over its own, and reads no aliased
+  // bin at the support (|h| < m/2 and |support − support| <= e < m/2).
+  // So the frame value is (mx·my/(nx·ny))² times the grid's, a power of
+  // two, and the multiply is exact.
+  const double ratio = static_cast<double>(m) /
+                       static_cast<double>(frame_.nx() * frame_.ny());
+  const double scale = ratio * ratio;
+  out.resize(mapped_.size());
+  for (std::size_t j = 0; j < mapped_.size(); ++j) {
+    out[j] = work[mapped_[j]] * scale;
+  }
 }
 
 namespace detail {

@@ -56,6 +56,15 @@
 ///     sum within rounding (~1e-15 on unit intensities); an axis that
 ///     cannot shrink passes through unchanged, and with neither axis
 ///     shrinking the result is the tier-3 sum, bit for bit.
+///     The same grid carries the sum's adjoint (the ILT gradient). For
+///     f on the support, IFFT(g·conj E)(f) = Σ_h G[h−f]·conj(A[h])/N²
+///     with G the spectrum of a real cotangent image g and A = E's
+///     spectrum, so it reads G only at |k| ≤ e < m/2: `project` keeps
+///     those bins of g (r2c on the frame → c2r on the grid), and
+///     `back_project` forms g·conj(E) at m·m pixels, runs one grid-
+///     size inverse and reads it at the remapped support bins. Exact
+///     (no aliasing), within rounding of the frame-size adjoint, and
+///     (m/n)² as many pixels per member.
 ///
 /// Sizes are powers of two. Convention: forward is unnormalized,
 /// inverse divides by N (1D) or Nx*Ny (2D), so ifft(fft(x)) == x; the
@@ -363,6 +372,23 @@ class BandLimitedGrid {
                      const std::function<double(std::size_t)>& weight,
                      std::vector<double>& out) const;
 
+  /// Band projection of a real frame image onto grid(): keep the bins
+  /// the grid holds (|k| < m/2 on a reduced axis, all of an unreduced
+  /// one) and inverse them at grid size. The samples carry the factor
+  /// (frame pixels / grid pixels) that the members' grid fields carry
+  /// too. Without a reduced axis \p out is a copy of \p image.
+  void project(std::span<const double> image, std::vector<double>& out) const;
+
+  /// One member's back-projection onto the support: out[j] =
+  /// IFFT(g·conj(E))(support[j]) in frame normalization, where g is the
+  /// frame image behind \p projected (from project) and E the frame
+  /// field behind \p field (a grid field, as inverse_field writes it
+  /// on the remapped support). Runs at grid size; \p out aligns with
+  /// the support.
+  void back_project(std::span<const double> projected,
+                    std::span<const Complex> field,
+                    std::vector<Complex>& out) const;
+
  private:
   /// Fourier-interpolate a grid-sized band-limited image to the frame.
   void upsample(std::span<const double> sum, std::vector<double>& out) const;
@@ -373,6 +399,10 @@ class BandLimitedGrid {
   std::vector<std::uint32_t> mapped_;   ///< support_ remapped onto grid_
   long x_lo_ = 0, x_hi_ = 0;  ///< signed x-bin range of support ∪ DC
   long y_lo_ = 0, y_hi_ = 0;  ///< signed y-bin range of support ∪ DC
+  /// The half-spectrum bins (kx ≤ grid nx/2) both grid and frame hold,
+  /// as flat grid and frame indices: the bins upsample embeds and
+  /// project keeps. Empty without a reduced axis.
+  std::vector<std::uint32_t> band_grid_, band_frame_;
 };
 
 namespace detail {

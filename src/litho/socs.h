@@ -86,8 +86,8 @@ struct SocsKernel {
 /// SparseInverseBatch: one plan, one pruning structure, |kernels|
 /// same-size transforms. That batch runs on the support's band-limited
 /// grid (fft.h tier 4); KernelCache builds grid and batch once beside
-/// the kernels, so no image rebuilds them (build_socs_kernels alone
-/// leaves them empty).
+/// the kernels, so no image and no ILT problem (ilt::PixelProblem)
+/// rebuilds them (build_socs_kernels alone leaves them empty).
 struct SocsKernelSet {
   std::vector<SocsKernel> kernels;
   std::vector<std::uint32_t> support;  ///< flat frame indices (ky*nx+kx)

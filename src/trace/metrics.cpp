@@ -130,6 +130,17 @@ constexpr std::array kMetricTable = {
     MetricInfo{metric::kIltLegalizeRounds, MetricKind::kHistogram,
                "repair rounds needed to legalize an ILT mask",
                0.0, 16.0, 16},
+    MetricInfo{metric::kIltSteps, MetricKind::kCounter,
+               "accepted gradient-descent steps over every ILT run, "
+               "reverted escalations included"},
+    MetricInfo{metric::kIltStopConverged, MetricKind::kCounter,
+               "ILT runs that stopped on a run of sub-tolerance steps"},
+    MetricInfo{metric::kIltStopNoDescent, MetricKind::kCounter,
+               "ILT runs that stopped when backtracking found no lower cost"},
+    MetricInfo{metric::kIltStopZeroGradient, MetricKind::kCounter,
+               "ILT runs that stopped on a zero gradient over the free pixels"},
+    MetricInfo{metric::kIltStopIterationCap, MetricKind::kCounter,
+               "ILT runs that stopped at the iteration cap"},
 };
 
 }  // namespace

@@ -134,6 +134,11 @@ inline constexpr const char* kIltEscalations = "ilt.escalations";
 inline constexpr const char* kIltIterations = "ilt.iterations";
 inline constexpr const char* kIltCostReduction = "ilt.cost_reduction";
 inline constexpr const char* kIltLegalizeRounds = "ilt.legalize_rounds";
+inline constexpr const char* kIltSteps = "ilt.steps";
+inline constexpr const char* kIltStopConverged = "ilt.stop_converged";
+inline constexpr const char* kIltStopNoDescent = "ilt.stop_no_descent";
+inline constexpr const char* kIltStopZeroGradient = "ilt.stop_zero_gradient";
+inline constexpr const char* kIltStopIterationCap = "ilt.stop_iteration_cap";
 }  // namespace metric
 
 /// Monotone event counter. add() is a relaxed atomic increment — safe

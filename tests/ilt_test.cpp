@@ -1,11 +1,16 @@
 /// Pixel-ILT engine tests: adjoint-vs-finite-difference gradient checks
-/// across process corners, sigmoid resist-proxy properties, legalizer
-/// idempotence + MRC cleanliness, and the flow's jobs=1 vs jobs=8
-/// byte-identity contract for ILT tiles.
+/// across process corners, the band-limited cost and adjoint against a
+/// full-frame reference, sigmoid resist-proxy properties, the descent's
+/// stop reasons, legalizer idempotence + MRC cleanliness, and the
+/// flow's jobs=1 vs jobs=8 byte-identity contract for ILT tiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <future>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -13,9 +18,14 @@
 #include "geometry/region.h"
 #include "ilt/ilt.h"
 #include "layout/generators.h"
+#include "litho/fft.h"
 #include "litho/raster.h"
+#include "litho/resist.h"
 #include "litho/simulator.h"
+#include "litho/socs.h"
 #include "mrc/mrc.h"
+#include "trace/metrics.h"
+#include "util/thread_pool.h"
 
 namespace opckit::ilt {
 namespace {
@@ -130,6 +140,326 @@ TEST(IltAdjoint, MatchesFiniteDifferenceSteepSigmoidCorner) {
   spec.edge_weight = 8.0;
   spec.edge_band_nm = 16.0;
   check_adjoint(calibrated_sim(), spec, 3);
+}
+
+// ---- band-limited cost and adjoint vs a full-frame reference ----------
+
+struct FrameObjective {
+  double cost = 0.0;
+  std::vector<double> grad;
+};
+
+/// The pixel-ILT objective written from frame-size transforms alone:
+/// every coherent field through a SparseInverseBatch on the frame, and
+/// each kernel's adjoint term as a dense frame inverse of gI . conj(E_k).
+FrameObjective full_frame_objective(const PixelProblem& problem,
+                                    const litho::SimSpec& sim,
+                                    const IltSpec& spec,
+                                    const std::vector<double>& m) {
+  using litho::Complex;
+  const litho::Frame& frame = problem.frame();
+  const std::size_t n = problem.size();
+  const litho::Fft2d fft(frame.nx, frame.ny);
+  const auto set = litho::KernelCache::instance().get(
+      sim.optics, frame, 0.0, sim.mask, litho::SocsOptions{sim.socs_epsilon});
+  const litho::SparseInverseBatch batch(fft, set->support);
+  const double t_bg = sim.mask.background_amplitude();
+
+  std::vector<double> trans(n);
+  for (std::size_t i = 0; i < n; ++i) trans[i] = m[i] + (1.0 - m[i]) * t_bg;
+  std::vector<Complex> spectrum;
+  fft.forward_real(trans, spectrum);
+  std::vector<std::vector<Complex>> fields(set->kernels.size());
+  litho::Image intensity(frame, 0.0);
+  for (std::size_t k = 0; k < fields.size(); ++k) {
+    batch.inverse_field(spectrum.data(), set->kernels[k].value, fields[k]);
+    for (std::size_t i = 0; i < n; ++i) {
+      intensity.values()[i] += set->kernels[k].weight * std::norm(fields[k][i]);
+    }
+  }
+  const litho::Image latent =
+      litho::gaussian_blur(intensity, sim.resist.diffusion_nm);
+
+  FrameObjective out;
+  litho::Image g_latent(frame, 0.0);
+  const double a = spec.sigmoid_steepness;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double w = problem.weight()[i];
+    if (w == 0.0) continue;
+    const double z = sigmoid(a * (latent.values()[i] - sim.resist.threshold));
+    const double r = z - problem.initial()[i];
+    out.cost += w * r * r;
+    g_latent.values()[i] = 2.0 * w * r * a * z * (1.0 - z);
+  }
+  const litho::Image g_int =
+      litho::gaussian_blur(g_latent, sim.resist.diffusion_nm);
+
+  std::vector<Complex> q(set->support.size(), Complex{0.0, 0.0});
+  std::vector<Complex> work(n);
+  for (std::size_t k = 0; k < fields.size(); ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      work[i] = g_int.values()[i] * std::conj(fields[k][i]);
+    }
+    fft.inverse(work);
+    for (std::size_t j = 0; j < set->support.size(); ++j) {
+      q[j] += set->kernels[k].weight * set->kernels[k].value[j] *
+              work[set->support[j]];
+    }
+  }
+  std::fill(work.begin(), work.end(), Complex{0.0, 0.0});
+  for (std::size_t j = 0; j < set->support.size(); ++j) {
+    work[set->support[j]] = q[j];
+  }
+  fft.forward(work);
+  out.grad.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.grad[i] = 2.0 * work[i].real() * (1.0 - t_bg);
+  }
+  return out;
+}
+
+struct ParityCase {
+  const char* name;
+  bool dipole;        ///< off-axis x dipole with coma, else annular
+  geom::Rect window;  ///< sets the frame with guard_nm
+  geom::Coord guard_nm;
+  double pixel_nm;
+  std::size_t nx, ny;  ///< expected frame
+  std::size_t mx, my;  ///< expected grid (== frame: not reduced)
+};
+
+void PrintTo(const ParityCase& pc, std::ostream* os) { *os << pc.name; }
+
+class IltBandParity : public ::testing::TestWithParam<ParityCase> {};
+
+TEST_P(IltBandParity, CostAndGradientMatchFullFrame) {
+  const ParityCase& pc = GetParam();
+  litho::SimSpec sim;
+  sim.optics.source.grid = 5;
+  if (pc.dipole) {
+    sim.optics.source.shape = litho::SourceShape::kDipoleX;
+    sim.optics.aberrations.coma_x_nm = 6.0;
+  }
+  sim.guard_nm = pc.guard_nm;
+  sim.pixel_nm = pc.pixel_nm;
+  sim.resist.threshold = 0.3;
+  const IltSpec spec;
+  const PixelProblem problem(two_bar_target(), sim, pc.window, spec);
+  const litho::Frame& frame = problem.frame();
+  ASSERT_EQ(frame.nx, pc.nx);
+  ASSERT_EQ(frame.ny, pc.ny);
+  const auto set = litho::KernelCache::instance().get(
+      sim.optics, frame, 0.0, sim.mask, litho::SocsOptions{sim.socs_epsilon});
+  ASSERT_EQ(set->grid->grid().nx(), pc.mx);
+  ASSERT_EQ(set->grid->grid().ny(), pc.my);
+
+  Lcg rng(17);
+  std::vector<double> m(problem.size());
+  for (double& v : m) v = 0.2 + 0.6 * rng.uniform();
+
+  std::vector<double> grad;
+  const double c = problem.cost_and_gradient(m, grad);
+  const FrameObjective ref = full_frame_objective(problem, sim, spec, m);
+  ASSERT_GT(ref.cost, 0.0);
+  EXPECT_NEAR(c, ref.cost, 1e-12 * ref.cost);
+  double gmax = 0.0;
+  for (double g : ref.grad) gmax = std::max(gmax, std::abs(g));
+  ASSERT_GT(gmax, 0.0);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < grad.size(); ++i) {
+    worst = std::max(worst, std::abs(grad[i] - ref.grad[i]));
+  }
+  EXPECT_LE(worst, 1e-12 * gmax) << "max |grad| " << gmax;
+
+  // cost(), and evaluate() + gradient(), are the same numbers bit for bit.
+  EXPECT_EQ(problem.cost(m), c);
+  PixelProblem::Forward fwd;
+  EXPECT_EQ(problem.evaluate(m, fwd), c);
+  std::vector<double> split;
+  problem.gradient(fwd, split);
+  EXPECT_EQ(split, grad);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Frames, IltBandParity,
+    ::testing::Values(
+        ParityCase{"Annular256", false, geom::Rect(0, 0, 400, 400), 800, 8.0,
+                   256, 256, 64, 64},
+        ParityCase{"Dipole256", true, geom::Rect(0, 0, 400, 400), 800, 8.0,
+                   256, 256, 64, 32},
+        ParityCase{"Annular256x128", false, geom::Rect(0, 0, 1200, 200), 400,
+                   8.0, 256, 128, 64, 32},
+        ParityCase{"Dipole256x128", true, geom::Rect(0, 0, 1200, 200), 400,
+                   8.0, 256, 128, 64, 16},
+        ParityCase{"AnnularUnreduced", false, geom::Rect(0, 0, 400, 400), 120,
+                   32.0, 32, 32, 32, 32},
+        ParityCase{"DipoleUnreduced", true, geom::Rect(0, 0, 400, 400), 120,
+                   80.0, 8, 8, 8, 8}),
+    [](const ::testing::TestParamInfo<ParityCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(IltRun, BitIdenticalOnMainThreadAndInPoolWorker) {
+  // From the main thread intensity_sum fans the kernels out over the
+  // global pool; inside a pool worker it runs them inline. The reduction
+  // order is the same, so the descent must be too.
+  const litho::SimSpec sim = calibrated_sim();
+  IltSpec spec;
+  spec.max_iterations = 6;
+  const geom::Rect window(0, 0, 400, 400);
+  const IltResult main = run_pixel_ilt(two_bar_target(), sim, window, spec);
+
+  util::ThreadPool pool(1);
+  IltResult worker;
+  std::promise<void> done;
+  pool.submit([&] {
+    worker = run_pixel_ilt(two_bar_target(), sim, window, spec);
+    done.set_value();
+  });
+  done.get_future().get();
+
+  EXPECT_GT(main.iterations, 0);
+  EXPECT_EQ(worker.iterations, main.iterations);
+  EXPECT_EQ(worker.stop, main.stop);
+  EXPECT_EQ(worker.initial_cost, main.initial_cost);
+  EXPECT_EQ(worker.final_cost, main.final_cost);
+  EXPECT_EQ(worker.mask.values(), main.mask.values());
+  EXPECT_EQ(worker.corrected, main.corrected);
+}
+
+TEST(IltRun, ReusedForwardPassMatchesSeparateCalls) {
+  // The descent re-simulates nothing: the accepted trial's forward pass
+  // feeds the next gradient. A descent written with separate cost() and
+  // cost_and_gradient() calls must land on the same mask bit for bit.
+  const litho::SimSpec sim = calibrated_sim();
+  IltSpec spec;
+  spec.max_iterations = 8;
+  const geom::Rect window(0, 0, 400, 400);
+  const IltResult res = run_pixel_ilt(two_bar_target(), sim, window, spec);
+
+  const PixelProblem problem(two_bar_target(), sim, window, spec);
+  std::vector<double> m = problem.initial(), grad, trial(m.size());
+  double cost = problem.cost_and_gradient(m, grad);
+  double step = spec.step;
+  int steps = 0;
+  for (int it = 0; it < spec.max_iterations; ++it) {
+    double gmax = 0.0;
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      if (problem.free_mask()[i]) gmax = std::max(gmax, std::abs(grad[i]));
+    }
+    ASSERT_GT(gmax, 0.0);
+    double trial_cost = cost;
+    for (int bt = 0; bt < 5 && trial_cost >= cost; ++bt) {
+      for (std::size_t i = 0; i < m.size(); ++i) {
+        trial[i] = problem.free_mask()[i]
+                       ? std::clamp(m[i] - step / gmax * grad[i], 0.0, 1.0)
+                       : m[i];
+      }
+      trial_cost = problem.cost(trial);
+      if (trial_cost >= cost) step *= 0.5;
+    }
+    ASSERT_LT(trial_cost, cost) << "no descent at step " << it;
+    m.swap(trial);
+    ++steps;
+    cost = problem.cost_and_gradient(m, grad);
+    ASSERT_EQ(cost, trial_cost);
+  }
+  ASSERT_EQ(res.stop, IltStop::kIterationCap);
+  EXPECT_EQ(res.iterations, steps);
+  EXPECT_EQ(res.final_cost, cost);
+  EXPECT_EQ(res.mask.values(), m);
+}
+
+// ---- stop reasons -----------------------------------------------------
+
+/// Run one tile and return the result plus the registry deltas of the
+/// step counter and the counter of the reason it reports.
+struct StopRun {
+  IltResult result;
+  std::uint64_t steps = 0;
+  std::uint64_t stop_count = 0;
+  std::uint64_t other_stops = 0;
+};
+
+StopRun run_counted(const std::vector<geom::Polygon>& targets,
+                    const IltSpec& spec) {
+  namespace tm = trace::metric;
+  // In IltStop order.
+  const char* const stops[] = {tm::kIltStopConverged, tm::kIltStopNoDescent,
+                               tm::kIltStopZeroGradient,
+                               tm::kIltStopIterationCap};
+  auto& reg = trace::metrics();
+  std::vector<std::uint64_t> before;
+  for (const char* s : stops) before.push_back(reg.counter(s).value());
+  const std::uint64_t steps0 = reg.counter(tm::kIltSteps).value();
+
+  StopRun out;
+  out.result = run_pixel_ilt(targets, calibrated_sim(),
+                             geom::Rect(0, 0, 400, 400), spec);
+  out.steps = reg.counter(tm::kIltSteps).value() - steps0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::uint64_t d = reg.counter(stops[i]).value() - before[i];
+    if (static_cast<int>(i) == static_cast<int>(out.result.stop)) {
+      out.stop_count = d;
+    } else {
+      out.other_stops += d;
+    }
+  }
+  return out;
+}
+
+TEST(IltStopReason, IterationCap) {
+  IltSpec spec;
+  spec.max_iterations = 2;
+  spec.convergence_tol = 0.0;
+  const StopRun r = run_counted(two_bar_target(), spec);
+  EXPECT_EQ(r.result.stop, IltStop::kIterationCap);
+  EXPECT_FALSE(r.result.converged());
+  EXPECT_EQ(r.result.iterations, 2);
+  EXPECT_EQ(r.steps, 2u);
+  EXPECT_EQ(r.stop_count, 1u);
+  EXPECT_EQ(r.other_stops, 0u);
+}
+
+TEST(IltStopReason, NoDescent) {
+  // A step so large that every halving still drives each free pixel to
+  // 0 or 1 by the gradient's sign: the bang-bang mask floods the window
+  // and never lowers the cost.
+  IltSpec spec;
+  spec.step = 1e6;
+  const StopRun r = run_counted(two_bar_target(), spec);
+  EXPECT_EQ(r.result.stop, IltStop::kNoDescent);
+  EXPECT_FALSE(r.result.converged());
+  EXPECT_EQ(r.result.iterations, 0);
+  EXPECT_EQ(r.result.final_cost, r.result.initial_cost);
+  EXPECT_EQ(r.steps, 0u);
+  EXPECT_EQ(r.stop_count, 1u);
+  EXPECT_EQ(r.other_stops, 0u);
+}
+
+TEST(IltStopReason, ZeroGradient) {
+  // Nothing drawn on a binary mask: every field is exactly zero, so is
+  // every adjoint term.
+  const StopRun r = run_counted({}, IltSpec{});
+  EXPECT_EQ(r.result.stop, IltStop::kZeroGradient);
+  EXPECT_TRUE(r.result.converged());
+  EXPECT_EQ(r.result.iterations, 0);
+  EXPECT_EQ(r.stop_count, 1u);
+  EXPECT_EQ(r.other_stops, 0u);
+}
+
+TEST(IltStopReason, ConvergedOnStallRun) {
+  // Every step improves by less than half the cost: three stalled steps
+  // in a row end the descent well before the cap.
+  IltSpec spec;
+  spec.convergence_tol = 0.5;
+  const StopRun r = run_counted(two_bar_target(), spec);
+  EXPECT_EQ(r.result.stop, IltStop::kConverged);
+  EXPECT_TRUE(r.result.converged());
+  EXPECT_EQ(r.result.iterations, 3);
+  EXPECT_EQ(r.steps, 3u);
+  EXPECT_EQ(r.stop_count, 1u);
+  EXPECT_EQ(r.other_stops, 0u);
 }
 
 // ---- legalization -----------------------------------------------------

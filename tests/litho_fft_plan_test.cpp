@@ -9,6 +9,7 @@
 #include <cmath>
 #include <numbers>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -513,6 +514,80 @@ TEST(BandLimited, MatchesFullFrameSumOnReducedGrids) {
     EXPECT_LE(max_abs_diff(sum.band_limited(grid), want), 1e-12 * peak)
         << s.nx << "x" << s.ny;
   }
+}
+
+/// One member's adjoint term IFFT(g . conj(E))(support[j]) for a random
+/// real image g and field E on \p support: at frame size (the
+/// reference) and through project + back_project on the support's grid.
+std::pair<std::vector<Complex>, std::vector<Complex>> back_projections(
+    std::size_t nx, std::size_t ny, const std::vector<std::uint32_t>& support,
+    std::uint64_t seed) {
+  const Fft2d frame(nx, ny);
+  const BandLimitedGrid grid(frame, support);
+  const std::vector<Complex> spectrum = random_complex(nx * ny, seed);
+  const std::vector<Complex> factors = random_complex(support.size(), seed + 1);
+  const std::vector<double> g = random_real(nx * ny, seed + 2);
+
+  std::vector<Complex> field;
+  SparseInverseBatch(frame, support)
+      .inverse_field(spectrum.data(), factors, field);
+  std::vector<Complex> work(nx * ny);
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    work[i] = g[i] * std::conj(field[i]);
+  }
+  frame.inverse(work);
+  std::vector<Complex> want(support.size());
+  for (std::size_t j = 0; j < support.size(); ++j) want[j] = work[support[j]];
+
+  const std::vector<std::uint32_t> mapped = grid.remap(support);
+  std::vector<Complex> grid_spectrum(grid.grid().nx() * grid.grid().ny());
+  for (std::size_t j = 0; j < support.size(); ++j) {
+    grid_spectrum[mapped[j]] = spectrum[support[j]];
+  }
+  std::vector<Complex> grid_field;
+  SparseInverseBatch(grid.grid(), mapped)
+      .inverse_field(grid_spectrum.data(), factors, grid_field);
+  std::vector<double> projected;
+  grid.project(g, projected);
+  std::vector<Complex> got;
+  grid.back_project(projected, grid_field, got);
+  return {std::move(got), std::move(want)};
+}
+
+TEST(BandLimited, BackProjectMatchesFrameAdjointOnReducedGrids) {
+  struct Shape { std::size_t nx, ny; double radius; bool half; };
+  for (const Shape s :
+       {Shape{256, 256, 9.0, false}, Shape{256, 128, 9.0, false},
+        Shape{64, 128, 5.0, false}, Shape{256, 32, 9.0, false},
+        Shape{256, 256, 9.0, true}}) {
+    std::vector<std::uint32_t> support = disk_support(s.nx, s.ny, s.radius);
+    if (s.half) {
+      // Only kx in [1, radius]: an extent that is not symmetric about DC.
+      std::erase_if(support, [&](std::uint32_t idx) {
+        const std::size_t kx = idx % s.nx;
+        return kx == 0 || kx > s.nx / 2;
+      });
+    }
+    ASSERT_TRUE(BandLimitedGrid(Fft2d(s.nx, s.ny), support).reduced());
+    const auto [got, want] =
+        back_projections(s.nx, s.ny, support, s.nx + 3 * s.ny);
+    ASSERT_EQ(got.size(), want.size());
+    double peak = 0.0, worst = 0.0;
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      peak = std::max(peak, std::abs(want[j]));
+      worst = std::max(worst, std::abs(got[j] - want[j]));
+    }
+    ASSERT_GT(peak, 0.0);
+    EXPECT_LE(worst, 1e-12 * peak) << s.nx << "x" << s.ny;
+  }
+}
+
+TEST(BandLimited, BackProjectOnUnreducedFrameIsTheFrameAdjointBitExact) {
+  const std::size_t nx = 32, ny = 32;
+  const std::vector<std::uint32_t> support = disk_support(nx, ny, 12.0);
+  ASSERT_FALSE(BandLimitedGrid(Fft2d(nx, ny), support).reduced());
+  const auto [got, want] = back_projections(nx, ny, support, 77);
+  EXPECT_EQ(got, want);
 }
 
 TEST(BandLimited, CountsOnlyReducedImages) {

@@ -10,7 +10,8 @@
 #   tools/ci.sh tsan       # TSan build + thread-pool tests only
 #   tools/ci.sh tidy       # clang-tidy over src/ and tools/ (skips if absent)
 #   tools/ci.sh lint       # opckit lint on generated example layouts
-#   tools/ci.sh perf       # perfbench: every workload once (in `all` only)
+#   tools/ci.sh perf       # perfbench: every workload once, plus t12_ilt
+#                          # (in `all` only)
 #
 # Build trees live under build-ci-<job> so CI never disturbs ./build.
 set -euo pipefail
@@ -227,6 +228,14 @@ job_perf() {
     CARGO_TARGET_DIR=build-ci-perf python3 perfbench/run.py \
       --workload "${workload}" --seed 1 --seconds 3 --trace 0 > /dev/null
   done
+  # t12_ilt: pixel ILT against model OPC on the hard-pattern corpus. Its
+  # exit status is the gate: a >= 30 % corpus worst-case EPE gain under
+  # ILT and a mask_deck_180-clean legalized mask for every case.
+  log "t12_ilt: ILT corpus gain and deck-clean gates"
+  configure_build build-ci-release
+  local work; work="$(mktemp -d)"
+  build-ci-release/bench/t12_ilt "${work}/BENCH_t12.json" > /dev/null
+  rm -rf "${work}"
 }
 
 main() {
